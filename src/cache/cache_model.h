@@ -7,17 +7,22 @@
 // thread turnover. Two interchangeable implementations exist:
 //
 //   * FootprintCache (footprint.h) — the analytic working-set model the
-//     paper-scale experiments run on (closed-form buildup/ejection, O(#owners)
-//     per chunk);
+//     paper-scale experiments run on (closed-form buildup/ejection, O(live
+//     owners) per chunk);
 //   * ExactCacheModel (exact_model.h) — the exact per-line set-associative
 //     simulation driven by synthetic reference streams, used to validate the
 //     analytic model end-to-end on the same machine plumbing.
 //
 // MachineConfig::cache_model selects the implementation per run.
+//
+// Owners are the engine's worker ids, dense from 1, so implementations may
+// index tables by owner id (FootprintCache does); kNoOwner (0) is never a
+// running owner.
 
 #ifndef SRC_CACHE_CACHE_MODEL_H_
 #define SRC_CACHE_CACHE_MODEL_H_
 
+#include <algorithm>
 #include <cstddef>
 
 #include "src/cache/exact_cache.h"
@@ -93,6 +98,16 @@ class CacheModel {
   // Removes up to `blocks` of `owner`'s footprint (coherence invalidations
   // arriving from another processor's cache).
   virtual void EjectBlocks(CacheOwner owner, double blocks) = 0;
+
+  // Coherence invalidation as one call: ejects min(up_to, Resident(owner))
+  // of `owner`'s footprint and returns the amount ejected. The default is
+  // exactly that Resident + EjectBlocks pair; models with a cheaper fused
+  // path override it. An absent owner yields 0 and leaves the model as is.
+  virtual double Invalidate(CacheOwner owner, double up_to) {
+    const double eject = std::min(up_to, Resident(owner));
+    EjectBlocks(owner, eject);
+    return eject;
+  }
 
   // Models thread turnover within a worker: the next thread reuses only
   // `keep_fraction` of the worker's current data; the rest is dead and its

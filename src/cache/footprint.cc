@@ -1,11 +1,23 @@
 #include "src/cache/footprint.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "src/common/check.h"
 
 namespace affsched {
+
+namespace {
+
+// Memo keys compare bit patterns, so a hit returns exactly what recomputing
+// from the same input would.
+bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
+
+}  // namespace
 
 FootprintCache::FootprintCache(double capacity_blocks, size_t ways)
     : capacity_(capacity_blocks), ways_(ways) {
@@ -18,23 +30,27 @@ double FootprintCache::MaxResident(double blocks) const {
 }
 
 double FootprintCache::Resident(CacheOwner owner) const {
-  auto it = resident_.find(owner);
-  return it == resident_.end() ? 0.0 : it->second;
+  return owner < resident_.size() ? resident_[owner] : 0.0;
 }
 
 void FootprintCache::SetResidentInternal(CacheOwner owner, double blocks) {
-  auto it = resident_.find(owner);
-  const double old = it == resident_.end() ? 0.0 : it->second;
+  const double old = Resident(owner);
   occupied_ += blocks - old;
   if (blocks <= 0.0) {
-    if (it != resident_.end()) {
-      resident_.erase(it);
+    if (old != 0.0) {
+      resident_[owner] = 0.0;
+      live_.erase(std::find(live_.begin(), live_.end(), owner));
     }
-  } else if (it == resident_.end()) {
-    resident_.emplace(owner, blocks);
-  } else {
-    it->second = blocks;
+    return;
   }
+  if (old == 0.0) {
+    AFF_CHECK(owner < kMaxOwner);
+    if (owner >= resident_.size()) {
+      resident_.resize(owner + 1, 0.0);
+    }
+    live_.push_back(owner);
+  }
+  resident_[owner] = blocks;
 }
 
 void FootprintCache::SetResident(CacheOwner owner, double blocks) {
@@ -42,21 +58,28 @@ void FootprintCache::SetResident(CacheOwner owner, double blocks) {
   SetResidentInternal(owner, blocks);
 }
 
-FootprintCache::ChunkResult FootprintCache::RunChunk(CacheOwner owner,
-                                                     const WorkingSetParams& ws,
-                                                     double seconds) {
+CacheChunkResult FootprintCache::RunChunk(CacheOwner owner, const WorkingSetParams& ws,
+                                          double seconds) {
   AFF_CHECK(owner != kNoOwner);
   AFF_CHECK(seconds >= 0.0);
-  ChunkResult result;
+  CacheChunkResult result;
   if (seconds == 0.0) {
     return result;
   }
 
-  const double w_eff = MaxResident(ws.blocks);
+  if (!SameBits(ws.blocks, memo_blocks_)) {
+    memo_blocks_ = ws.blocks;
+    memo_w_eff_ = MaxResident(ws.blocks);
+  }
+  if (!SameBits(seconds, memo_seconds_) || !SameBits(ws.buildup_tau_s, memo_tau_)) {
+    memo_seconds_ = seconds;
+    memo_tau_ = ws.buildup_tau_s;
+    memo_touch_ =
+        ws.buildup_tau_s > 0.0 ? 1.0 - std::exp(-seconds / ws.buildup_tau_s) : 1.0;
+  }
+  const double w_eff = memo_w_eff_;
   const double f = Resident(owner);
-  const double touch_fraction =
-      ws.buildup_tau_s > 0.0 ? 1.0 - std::exp(-seconds / ws.buildup_tau_s) : 1.0;
-  result.reload_misses = std::max(0.0, (w_eff - f) * touch_fraction);
+  result.reload_misses = std::max(0.0, (w_eff - f) * memo_touch_);
   result.steady_misses = ws.steady_miss_per_s * seconds;
 
   // Every insertion lands in a (set-associatively constrained) location that
@@ -70,24 +93,25 @@ FootprintCache::ChunkResult FootprintCache::RunChunk(CacheOwner owner,
   // task's own recent blocks are MRU and modelled as protected.
   const double new_self = std::min(w_eff, f + result.reload_misses);
   const double evicting = result.reload_misses + result.steady_misses;
-  if (evicting > 0.0 && !resident_.empty()) {
+  if (evicting > 0.0 && !live_.empty()) {
     const double survival = std::pow(1.0 - 1.0 / capacity_, evicting);
     double others = 0.0;
-    for (auto it = resident_.begin(); it != resident_.end();) {
-      if (it->first == owner) {
-        ++it;
-        continue;
+    // Decay in insertion order, compacting dropped owners out in place.
+    size_t kept = 0;
+    for (const CacheOwner o : live_) {
+      if (o != owner) {
+        double& blocks = resident_[o];
+        blocks *= survival;
+        if (blocks < 1e-9) {
+          blocks = 0.0;
+          continue;
+        }
+        others += blocks;
       }
-      it->second *= survival;
-      if (it->second < 1e-9) {
-        occupied_ -= it->second;
-        it = resident_.erase(it);
-      } else {
-        others += it->second;
-        ++it;
-      }
+      live_[kept++] = o;
     }
-    occupied_ = others + Resident(owner);
+    live_.resize(kept);
+    occupied_ = others + f;
   }
   SetResidentInternal(owner, new_self);
 
@@ -98,11 +122,18 @@ FootprintCache::ChunkResult FootprintCache::RunChunk(CacheOwner owner,
     double others = occupied_ - new_self;
     if (others > 0.0) {
       const double scale = std::max(0.0, (others - excess) / others);
-      for (auto& [o, blocks] : resident_) {
+      size_t kept = 0;
+      for (const CacheOwner o : live_) {
         if (o != owner) {
+          double& blocks = resident_[o];
           blocks *= scale;
+          if (blocks == 0.0) {
+            continue;  // squeezed out entirely: now absent
+          }
         }
+        live_[kept++] = o;
       }
+      live_.resize(kept);
       occupied_ = new_self + others * scale;
     } else {
       SetResidentInternal(owner, capacity_);
@@ -112,7 +143,10 @@ FootprintCache::ChunkResult FootprintCache::RunChunk(CacheOwner owner,
 }
 
 void FootprintCache::Flush() {
-  resident_.clear();
+  for (const CacheOwner o : live_) {
+    resident_[o] = 0.0;
+  }
+  live_.clear();
   occupied_ = 0.0;
 }
 
@@ -124,6 +158,14 @@ void FootprintCache::EjectFraction(CacheOwner owner, double fraction) {
 void FootprintCache::EjectBlocks(CacheOwner owner, double blocks) {
   AFF_CHECK(blocks >= 0.0);
   SetResidentInternal(owner, std::max(0.0, Resident(owner) - blocks));
+}
+
+double FootprintCache::Invalidate(CacheOwner owner, double up_to) {
+  AFF_CHECK(up_to >= 0.0);
+  const double old = Resident(owner);
+  const double eject = std::min(up_to, old);
+  SetResidentInternal(owner, old - eject);
+  return eject;
 }
 
 void FootprintCache::ReplaceOwnerData(CacheOwner owner, double keep_fraction) {

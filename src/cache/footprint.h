@@ -28,11 +28,18 @@
 // also grows with Q (the intervening task runs longer and ejects more).
 // The exponential-ejection approximation is validated against ExactCache in
 // tests/cache/footprint_vs_exact_test.cc and bench/bench_calibration_cache.cc.
+//
+// Representation. Owners are the engine's dense worker ids (1..N), so the
+// residency table is a plain vector indexed by owner id, 0 meaning absent,
+// plus a list of the present owners kept in insertion order. A chunk costs
+// O(live owners) with no hashing and no allocation in steady state, and the
+// decay loop visits owners in insertion order, independent of any container's
+// internal layout.
 
 #ifndef SRC_CACHE_FOOTPRINT_H_
 #define SRC_CACHE_FOOTPRINT_H_
 
-#include <unordered_map>
+#include <vector>
 
 #include "src/cache/cache_model.h"
 
@@ -40,10 +47,12 @@ namespace affsched {
 
 class FootprintCache final : public CacheModel {
  public:
-  explicit FootprintCache(double capacity_blocks, size_t ways = 2);
+  // Owner ids must stay below this bound: the residency table is indexed by
+  // owner id, so a stray id fails a check instead of growing the table to
+  // gigabytes.
+  static constexpr CacheOwner kMaxOwner = CacheOwner{1} << 22;
 
-  // Compatibility alias: chunk results predate the CacheModel interface.
-  using ChunkResult = CacheChunkResult;
+  explicit FootprintCache(double capacity_blocks, size_t ways = 2);
 
   // Maximum resident footprint a working set of `blocks` distinct blocks can
   // achieve in this cache (ExpectedMaxResident: Poisson set occupancy).
@@ -73,6 +82,9 @@ class FootprintCache final : public CacheModel {
   // arriving from another processor's cache).
   void EjectBlocks(CacheOwner owner, double blocks) override;
 
+  // EjectBlocks(owner, min(up_to, Resident(owner))) in one call.
+  double Invalidate(CacheOwner owner, double up_to) override;
+
   // Models thread turnover within a worker: the next thread reuses only
   // `keep_fraction` of the worker's current data; the rest is dead and its
   // lines are released.
@@ -84,13 +96,30 @@ class FootprintCache final : public CacheModel {
   // Test hook: force a resident footprint.
   void SetResident(CacheOwner owner, double blocks);
 
+  // Test hook: size of the owner-indexed residency table (queries and
+  // invalidations of absent owners must not grow it).
+  size_t table_size() const { return resident_.size(); }
+
  private:
   void SetResidentInternal(CacheOwner owner, double blocks);
 
   double capacity_;
   size_t ways_;
   double occupied_ = 0.0;
-  std::unordered_map<CacheOwner, double> resident_;
+  // resident_[owner] is the owner's footprint; 0 means absent.
+  std::vector<double> resident_;
+  // Owners with a non-zero footprint, in insertion order.
+  std::vector<CacheOwner> live_;
+
+  // RunChunk memos, keyed on the exact bits of their inputs: consecutive
+  // chunks almost always repeat the working set and the chunk length. The
+  // initial values are already a valid entry (MaxResident(-1) is 0, and a
+  // non-positive tau touches the whole working set).
+  double memo_blocks_ = -1.0;
+  double memo_w_eff_ = 0.0;
+  double memo_seconds_ = -1.0;
+  double memo_tau_ = -1.0;
+  double memo_touch_ = 1.0;
 };
 
 }  // namespace affsched

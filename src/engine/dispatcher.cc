@@ -112,15 +112,15 @@ void Dispatcher::StartChunk(size_t proc) {
 
   // Sibling workers of the same job on other processors, for coherence
   // invalidations (collected only when the application shares writable data).
-  std::vector<Machine::SiblingPlacement> siblings;
   const std::vector<Machine::SiblingPlacement>* siblings_ptr = nullptr;
   if (js.profile->working_set.shared_write_per_s > 0.0) {
+    siblings_.clear();
     for (size_t p = 0; p < core_.procs.size(); ++p) {
       if (p != proc && core_.procs[p].holder == w.job && core_.procs[p].running != kNoOwner) {
-        siblings.push_back(Machine::SiblingPlacement{p, core_.procs[p].running});
+        siblings_.push_back(Machine::SiblingPlacement{p, core_.procs[p].running});
       }
     }
-    siblings_ptr = &siblings;
+    siblings_ptr = &siblings_;
   }
 
   const Machine::ChunkExecution exec = core_.machine.ExecuteChunk(

@@ -10,8 +10,11 @@
 #ifndef SRC_ENGINE_DISPATCHER_H_
 #define SRC_ENGINE_DISPATCHER_H_
 
+#include <vector>
+
 #include "src/engine/accounting.h"
 #include "src/engine/engine_core.h"
+#include "src/machine/machine.h"
 
 namespace affsched {
 
@@ -45,6 +48,9 @@ class Dispatcher {
   EngineCore& core_;
   Accounting& acct_;
   AllocatorProtocol* alloc_ = nullptr;
+  // StartChunk's running-sibling list, refilled per chunk so steady-state
+  // chunks do not allocate.
+  std::vector<Machine::SiblingPlacement> siblings_;
 };
 
 }  // namespace affsched

@@ -1,6 +1,5 @@
 #include "src/machine/machine.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/cache/exact_model.h"
@@ -115,10 +114,7 @@ Machine::ChunkExecution Machine::ExecuteChunk(SimTime now, size_t proc, CacheOwn
       if (sibling.proc == proc) {
         continue;
       }
-      CacheModel& cache = processor(sibling.proc).cache();
-      const double eject = std::min(per_sibling, cache.Resident(sibling.owner));
-      cache.EjectBlocks(sibling.owner, eject);
-      invalidations += eject;
+      invalidations += processor(sibling.proc).cache().Invalidate(sibling.owner, per_sibling);
     }
   }
 

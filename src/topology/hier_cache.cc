@@ -25,15 +25,22 @@ FootprintCache* TopologyCacheState::llc(size_t cluster) {
 }
 
 size_t TopologyCacheState::LastNode(CacheOwner owner) const {
-  auto it = last_node_.find(owner);
-  return it == last_node_.end() ? kNoNode : it->second;
+  return owner < last_node_.size() ? last_node_[owner] : kNoNode;
 }
 
 void TopologyCacheState::SetLastNode(CacheOwner owner, size_t node) {
+  AFF_CHECK(owner < FootprintCache::kMaxOwner);
+  if (owner >= last_node_.size()) {
+    last_node_.resize(owner + 1, kNoNode);
+  }
   last_node_[owner] = node;
 }
 
-void TopologyCacheState::Forget(CacheOwner owner) { last_node_.erase(owner); }
+void TopologyCacheState::Forget(CacheOwner owner) {
+  if (owner < last_node_.size()) {
+    last_node_[owner] = kNoNode;
+  }
+}
 
 HierarchicalCacheModel::HierarchicalCacheModel(double l1_capacity_blocks, size_t l1_ways,
                                                const Topology& topology,

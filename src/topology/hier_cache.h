@@ -19,16 +19,16 @@
 // the node each task last ran on. Both live in TopologyCacheState, owned by
 // the Machine; the per-processor models hold non-owning pointers.
 //
-// Coherence invalidations (EjectBlocks) erode the LLC copy as well as the
-// private one; thread turnover (ReplaceOwnerData) likewise releases the dead
-// data at both levels. Flush only clears the private cache — it models the
-// Section 4 per-processor "migrating" treatment, not a machine-wide wipe.
+// Coherence invalidations (EjectBlocks, Invalidate) erode the LLC copy as
+// well as the private one; thread turnover (ReplaceOwnerData) likewise
+// releases the dead data at both levels. Flush only clears the private
+// cache — it models the Section 4 per-processor "migrating" treatment, not a
+// machine-wide wipe.
 
 #ifndef SRC_TOPOLOGY_HIER_CACHE_H_
 #define SRC_TOPOLOGY_HIER_CACHE_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/cache/footprint.h"
@@ -38,7 +38,8 @@ namespace affsched {
 
 // Shared per-machine state: one LLC per cluster (when the topology has an
 // LLC tier) plus the owner -> last-node directory used to classify remote
-// fills.
+// fills. The directory is indexed by owner id (owners are dense worker ids),
+// kNoNode marking owners with no recorded node.
 class TopologyCacheState {
  public:
   static constexpr size_t kNoNode = static_cast<size_t>(-1);
@@ -56,7 +57,7 @@ class TopologyCacheState {
 
  private:
   std::vector<std::unique_ptr<FootprintCache>> llcs_;
-  std::unordered_map<CacheOwner, size_t> last_node_;
+  std::vector<size_t> last_node_;
 };
 
 class HierarchicalCacheModel final : public CacheModel {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace affsched {
@@ -171,6 +172,33 @@ TEST(FootprintCacheTest, RunningTaskProtectedFromOwnEvictions) {
   cache.RunChunk(1, ws, 1.0);
   // Steady misses insert blocks but the running task's footprint holds.
   EXPECT_NEAR(cache.Resident(1), cache.MaxResident(3000.0), 1.0);
+}
+
+TEST(FootprintCacheTest, CapacitySqueezeScalesOthersByOneFactor) {
+  // A completely full cache: after the cold runner's insertions the decayed
+  // others plus its new footprint exceed capacity, so RunChunk squeezes the
+  // other owners back inside it.
+  FootprintCache cache(kCapacity);
+  cache.SetResident(1, 3000.0);
+  cache.SetResident(2, 1096.0);
+  ASSERT_DOUBLE_EQ(cache.Occupied(), kCapacity);
+  const WorkingSetParams ws = TestWs(2000.0, 0.05);
+  const CacheChunkResult r = cache.RunChunk(3, ws, 0.002);
+  ASSERT_GT(r.reload_misses, 0.0);
+
+  EXPECT_LE(cache.Occupied(), kCapacity);
+  // The runner keeps its whole new footprint (cold, so new_self = reload).
+  const double new_self = std::min(cache.MaxResident(2000.0), r.reload_misses);
+  EXPECT_EQ(cache.Resident(3), new_self);
+  // Both others shrink by the same factor, below what decay alone leaves.
+  const double factor1 = cache.Resident(1) / 3000.0;
+  const double factor2 = cache.Resident(2) / 1096.0;
+  EXPECT_DOUBLE_EQ(factor1, factor2);
+  const double survival = std::pow(1.0 - 1.0 / kCapacity, r.TotalMisses());
+  EXPECT_LT(factor1, survival);
+  EXPECT_GT(factor1, 0.0);
+  EXPECT_NEAR(cache.Occupied(), cache.Resident(1) + cache.Resident(2) + cache.Resident(3),
+              1e-9);
 }
 
 }  // namespace
