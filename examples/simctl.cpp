@@ -31,7 +31,6 @@
 #include "src/runner/sweep.h"
 #include "src/runner/worker_pool.h"
 #include "src/sched/metered.h"
-#include "src/serve/jsonv.h"
 #include "src/serve/wire.h"
 #include "src/telemetry/chrome_trace.h"
 #include "src/telemetry/json.h"

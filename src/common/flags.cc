@@ -1,11 +1,97 @@
 #include "src/common/flags.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <sstream>
 
 #include "src/common/check.h"
 
 namespace affsched {
+
+namespace {
+
+template <typename T>
+bool ParseWhole(std::string_view text, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+}  // namespace
+
+bool ParseInt64(std::string_view text, int64_t* out) { return ParseWhole(text, out); }
+
+bool ParseUint64(std::string_view text, uint64_t* out) { return ParseWhole(text, out); }
+
+bool ParseDouble(std::string_view text, double* out) {
+  double value = 0.0;
+  if (!ParseWhole(text, &value) || !std::isfinite(value)) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+bool ParseBool(std::string_view text, bool* out) {
+  if (text == "1" || text == "true" || text == "on") {
+    *out = true;
+  } else if (text == "0" || text == "false" || text == "off") {
+    *out = false;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+std::vector<std::string> SplitList(std::string_view text, char sep) {
+  std::vector<std::string> items;
+  size_t begin = 0;
+  while (true) {
+    const size_t end = text.find(sep, begin);
+    items.emplace_back(text.substr(begin, end - begin));
+    if (end == std::string_view::npos) {
+      return items;
+    }
+    begin = end + 1;
+  }
+}
+
+bool SplitSpecText(std::string_view text, char sep, const char* what, SpecText* out,
+                   std::string* error) {
+  if (text.empty()) {
+    *error = std::string("empty ") + what + " spec";
+    return false;
+  }
+  std::vector<std::string> items = SplitList(text, sep);
+  *out = SpecText();
+  size_t first_override = 0;
+  if (items[0].find('=') == std::string::npos) {
+    if (items[0].empty()) {
+      *error = std::string(what) + " spec starts with an empty preset name";
+      return false;
+    }
+    out->head = std::move(items[0]);
+    first_override = 1;
+  }
+  for (size_t i = first_override; i < items.size(); ++i) {
+    const std::string& item = items[i];
+    if (item.empty()) {
+      continue;
+    }
+    const size_t eq = item.find('=');
+    if (eq == std::string::npos) {
+      *error = "expected key=value, got '" + item + "'";
+      return false;
+    }
+    out->overrides.emplace_back(item.substr(0, eq), item.substr(eq + 1));
+  }
+  return true;
+}
 
 FlagSet::FlagSet(std::string program_description) : description_(std::move(program_description)) {}
 
@@ -37,33 +123,20 @@ bool FlagSet::SetValue(const std::string& name, const std::string& value) {
     return false;
   }
   Flag& flag = it->second;
-  char* end = nullptr;
-  switch (flag.type) {
-    case Type::kInt: {
-      (void)std::strtoll(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0') {
-        error_ = "flag --" + name + " expects an integer, got '" + value + "'";
-        return false;
-      }
-      break;
-    }
-    case Type::kDouble: {
-      (void)std::strtod(value.c_str(), &end);
-      if (value.empty() || *end != '\0') {
-        error_ = "flag --" + name + " expects a number, got '" + value + "'";
-        return false;
-      }
-      break;
-    }
-    case Type::kBool: {
-      if (value != "true" && value != "false" && value != "1" && value != "0") {
-        error_ = "flag --" + name + " expects true/false, got '" + value + "'";
-        return false;
-      }
-      break;
-    }
-    case Type::kString:
-      break;
+  int64_t int_value = 0;
+  double double_value = 0.0;
+  bool bool_value = false;
+  const char* expected = nullptr;
+  if (flag.type == Type::kInt && !ParseInt64(value, &int_value)) {
+    expected = "an integer";
+  } else if (flag.type == Type::kDouble && !ParseDouble(value, &double_value)) {
+    expected = "a number";
+  } else if (flag.type == Type::kBool && !ParseBool(value, &bool_value)) {
+    expected = "true/false";
+  }
+  if (expected != nullptr) {
+    error_ = "flag --" + name + " expects " + expected + ", got '" + value + "'";
+    return false;
   }
   flag.value = value;
   return true;
@@ -112,16 +185,21 @@ const FlagSet::Flag& FlagSet::Lookup(const std::string& name, Type type) const {
 }
 
 int64_t FlagSet::GetInt(const std::string& name) const {
-  return std::strtoll(Lookup(name, Type::kInt).value.c_str(), nullptr, 10);
+  int64_t value = 0;
+  AFF_CHECK(ParseInt64(Lookup(name, Type::kInt).value, &value));
+  return value;
 }
 
 double FlagSet::GetDouble(const std::string& name) const {
-  return std::strtod(Lookup(name, Type::kDouble).value.c_str(), nullptr);
+  double value = 0.0;
+  AFF_CHECK(ParseDouble(Lookup(name, Type::kDouble).value, &value));
+  return value;
 }
 
 bool FlagSet::GetBool(const std::string& name) const {
-  const std::string& v = Lookup(name, Type::kBool).value;
-  return v == "true" || v == "1";
+  bool value = false;
+  AFF_CHECK(ParseBool(Lookup(name, Type::kBool).value, &value));
+  return value;
 }
 
 const std::string& FlagSet::GetString(const std::string& name) const {

@@ -1,4 +1,6 @@
-// Minimal command-line flag parsing for the benchmark and example binaries.
+// Minimal command-line flag parsing for the benchmark and example binaries,
+// plus the strict scalar readers and spec-text splitters every parser in the
+// repo (flags, sweep specs, topology specs) shares.
 //
 // Supports "--name=value", "--name value", bare boolean "--name", and "--help"
 // generation. Unknown flags are errors (typos should not silently run the
@@ -10,9 +12,39 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 namespace affsched {
+
+// Strict scalar readers. Each consumes the whole of `text` (no whitespace, no
+// leading '+', no trailing characters) and rejects values that do not fit the
+// type; ParseDouble also rejects nan and inf. On failure they return false
+// and leave *out unchanged.
+bool ParseInt64(std::string_view text, int64_t* out);
+bool ParseUint64(std::string_view text, uint64_t* out);
+bool ParseDouble(std::string_view text, double* out);
+// Accepts 1/true/on and 0/false/off.
+bool ParseBool(std::string_view text, bool* out);
+
+// Splits on `sep`, keeping empty items: "a,,b" -> {"a", "", "b"} and
+// "" -> {""}, so a stray separator reaches the item parser as an error.
+std::vector<std::string> SplitList(std::string_view text, char sep);
+
+// A "head<sep>key=value<sep>..." spec: an optional preset name followed by
+// overrides in source order.
+struct SpecText {
+  std::string head;  // empty when the text opens with a key=value override
+  std::vector<std::pair<std::string, std::string>> overrides;
+};
+
+// Splits `text` into a SpecText. The first item is the head unless it
+// contains '='; empty items after it are skipped. Returns false and sets
+// *error (naming `what`, e.g. "sweep") on empty text, an empty head, or an
+// override without '='.
+bool SplitSpecText(std::string_view text, char sep, const char* what, SpecText* out,
+                   std::string* error);
 
 class FlagSet {
  public:

@@ -14,17 +14,20 @@ std::string MachineConfig::Validate() const {
   if (num_processors == 0) {
     return "machine requires at least one processor (procs=0)";
   }
+  if (num_processors > kMaxProcessors) {
+    return "machine supports at most 1024 processors (procs)";
+  }
   if (geometry.line_bytes == 0 || geometry.total_bytes == 0 || geometry.TotalLines() == 0) {
     return "cache geometry has zero capacity (line_bytes/total_bytes)";
   }
   if (geometry.ways == 0) {
     return "cache geometry needs at least one way";
   }
-  if (processor_speed <= 0.0) {
-    return "processor_speed must be > 0";
+  if (!(processor_speed >= kMinScale && processor_speed <= kMaxScale)) {
+    return "processor_speed must be in [1e-3, 1e3] (speed)";
   }
-  if (cache_size_factor <= 0.0) {
-    return "cache_size_factor must be > 0";
+  if (!(cache_size_factor >= kMinScale && cache_size_factor <= kMaxScale)) {
+    return "cache_size_factor must be in [1e-3, 1e3] (cache)";
   }
   if (!topology.IsFlat() && cache_model != CacheModelKind::kFootprint) {
     return "hierarchical topologies require the footprint cache model "

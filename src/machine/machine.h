@@ -59,8 +59,17 @@ struct MachineConfig {
   // symmetry-flat spec reproduces the paper's bus machine byte-identically.
   TopologySpec topology;
 
+  // Shape bounds Validate enforces. Inside them the simulated clock's
+  // integer arithmetic and the per-processor tables stay in range; the
+  // largest machines the experiments build (32 processors, speed 128, cache
+  // 16) sit well inside.
+  static constexpr size_t kMaxProcessors = 1024;
+  static constexpr double kMinScale = 1e-3;  // processor_speed, cache_size_factor
+  static constexpr double kMaxScale = 1e3;
+
   // Returns an empty string if the configuration is buildable, else a
-  // human-readable error (zero processors, zero-capacity cache levels, ...).
+  // human-readable error (zero or too many processors, speed or cache scale
+  // outside [kMinScale, kMaxScale], zero-capacity cache levels, ...).
   // Machine's constructor enforces this; parsers surface it as a clean error.
   std::string Validate() const;
 

@@ -2,11 +2,12 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "src/common/check.h"
+#include "src/common/flags.h"
+#include "src/telemetry/json.h"
 
 namespace affsched {
 
@@ -149,19 +150,6 @@ bool ValidateAndAppend(double t_s, double app, size_t line_no,
   return true;
 }
 
-// Parses a double at `s`, requiring the whole token be consumed.
-bool ParseNumber(const std::string& s, double* value) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  *value = std::strtod(s.c_str(), &end);
-  while (end != nullptr && *end != '\0' && std::isspace(static_cast<unsigned char>(*end))) {
-    ++end;
-  }
-  return end != nullptr && *end == '\0';
-}
-
 std::string Trim(const std::string& s) {
   size_t b = 0;
   size_t e = s.size();
@@ -174,24 +162,14 @@ std::string Trim(const std::string& s) {
   return s.substr(b, e - b);
 }
 
-// Extracts the numeric value of `"key": <number>` from a single-line JSON
-// object. This is a field scanner, not a JSON parser: enough for the flat
-// trace schema, with malformed values rejected by the caller's validation.
-bool ExtractJsonNumber(const std::string& line, const std::string& key, double* value) {
-  const std::string quoted = "\"" + key + "\"";
-  size_t pos = line.find(quoted);
-  if (pos == std::string::npos) {
+// Reads the numeric member `key` of a parsed JSONL row.
+bool JsonNumberField(const JsonValue& row, const char* key, double* value) {
+  const JsonValue* field = row.Get(key);
+  if (field == nullptr || !field->IsNumber()) {
     return false;
   }
-  pos += quoted.size();
-  while (pos < line.size() && (std::isspace(static_cast<unsigned char>(line[pos])) || line[pos] == ':')) {
-    ++pos;
-  }
-  size_t end = pos;
-  while (end < line.size() && line[end] != ',' && line[end] != '}') {
-    ++end;
-  }
-  return ParseNumber(Trim(line.substr(pos, end - pos)), value);
+  *value = field->AsDouble();
+  return true;
 }
 
 }  // namespace
@@ -199,11 +177,9 @@ bool ExtractJsonNumber(const std::string& line, const std::string& key, double* 
 bool ParseArrivalTraceCsv(const std::string& text, std::vector<ArrivalPlanEntry>* out,
                           std::string* error) {
   out->clear();
-  std::istringstream in(text);
-  std::string line;
   size_t line_no = 0;
   bool first_data_line = true;
-  while (std::getline(in, line)) {
+  for (std::string line : SplitList(text, '\n')) {
     ++line_no;
     line = Trim(line);
     if (line.empty() || line[0] == '#') {
@@ -215,8 +191,8 @@ bool ParseArrivalTraceCsv(const std::string& text, std::vector<ArrivalPlanEntry>
     }
     double t_s = 0.0;
     double app = 0.0;
-    const bool ok = ParseNumber(Trim(line.substr(0, comma)), &t_s) &&
-                    ParseNumber(Trim(line.substr(comma + 1)), &app);
+    const bool ok = ParseDouble(Trim(line.substr(0, comma)), &t_s) &&
+                    ParseDouble(Trim(line.substr(comma + 1)), &app);
     if (!ok) {
       if (first_data_line) {
         // Tolerate one header line ("t_s,app").
@@ -236,21 +212,23 @@ bool ParseArrivalTraceCsv(const std::string& text, std::vector<ArrivalPlanEntry>
 bool ParseArrivalTraceJsonl(const std::string& text, std::vector<ArrivalPlanEntry>* out,
                             std::string* error) {
   out->clear();
-  std::istringstream in(text);
-  std::string line;
   size_t line_no = 0;
-  while (std::getline(in, line)) {
+  for (const std::string& line : SplitList(text, '\n')) {
     ++line_no;
-    line = Trim(line);
-    if (line.empty()) {
+    if (Trim(line).empty()) {
       continue;
+    }
+    JsonValue row;
+    std::string json_error;
+    if (!ParseJson(line, &row, &json_error)) {
+      return Fail(error, line_no, "malformed JSON: " + json_error);
     }
     double t_s = 0.0;
     double app = 0.0;
-    if (!ExtractJsonNumber(line, "t_s", &t_s)) {
+    if (!JsonNumberField(row, "t_s", &t_s)) {
       return Fail(error, line_no, "missing or malformed \"t_s\" field");
     }
-    if (!ExtractJsonNumber(line, "app", &app)) {
+    if (!JsonNumberField(row, "app", &app)) {
       return Fail(error, line_no, "missing or malformed \"app\" field");
     }
     if (!ValidateAndAppend(t_s, app, line_no, out, error)) {

@@ -134,8 +134,8 @@ bool ParseArrivalTraceCsv(const std::string& text, std::vector<ArrivalPlanEntry>
                           std::string* error);
 
 // Parses an arrival trace in JSONL form: one {"t_s": <seconds>, "app": <idx>}
-// object per line (extra keys ignored; blank lines skipped). Same validation
-// as the CSV parser.
+// object per line, each a complete JSON value read by ParseJson (extra keys
+// ignored; blank lines skipped). Same validation as the CSV parser.
 bool ParseArrivalTraceJsonl(const std::string& text, std::vector<ArrivalPlanEntry>* out,
                             std::string* error);
 

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
 #include "src/apps/apps.h"
 #include "src/common/check.h"
+#include "src/common/flags.h"
 #include "src/measure/experiment.h"
 #include "src/rt/deadline_mix.h"
 #include "src/runner/cell_seed.h"
@@ -71,36 +71,12 @@ double MeanServiceDemandSeconds(const std::vector<AppProfile>& apps,
   return weighted / total_weight;
 }
 
-namespace {
-
-std::vector<std::string> SplitOn(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::string current;
-  for (char c : text) {
-    if (c == sep) {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  parts.push_back(current);
-  return parts;
-}
-
-OpenSweepSpec BaseOpenSpec() {
+OpenSweepSpec OpenSysSpec() {
   OpenSweepSpec spec;
+  spec.name = "opensys";
   spec.machine = PaperMachineConfig();
   spec.apps = {MakeSmallMvaProfile(), MakeSmallMatrixProfile(), MakeSmallGravityProfile()};
   spec.app_weights = {1.0, 1.0, 1.0};
-  return spec;
-}
-
-}  // namespace
-
-OpenSweepSpec OpenSysSpec() {
-  OpenSweepSpec spec = BaseOpenSpec();
-  spec.name = "opensys";
   spec.policies = {PolicyKind::kEquipartition, PolicyKind::kDynamic, PolicyKind::kDynAff};
   spec.arrivals = {ArrivalKind::kPoisson, ArrivalKind::kOnOff};
   spec.rhos = {0.3, 0.5, 0.7, 0.8, 0.9, 0.95};
@@ -111,68 +87,41 @@ OpenSweepSpec OpenSysSpec() {
 }
 
 OpenSweepSpec OpenSysSmokeSpec() {
-  OpenSweepSpec spec = BaseOpenSpec();
+  OpenSweepSpec spec = OpenSysSpec();
   spec.name = "opensys-smoke";
   spec.policies = {PolicyKind::kEquipartition, PolicyKind::kDynAff};
   spec.arrivals = {ArrivalKind::kPoisson};
   spec.rhos = {0.5, 0.8};
   spec.jobs_per_cell = 30;
-  spec.replications = 1;
-  spec.root_seed = 2000;
   return spec;
 }
 
 bool ParseOpenSweepSpec(const std::string& text, OpenSweepSpec* spec, std::string* error) {
-  if (text.empty()) {
-    *error = "empty open sweep spec";
+  SpecText parts;
+  if (!SplitSpecText(text, ';', "open sweep", &parts, error)) {
     return false;
   }
-  const std::vector<std::string> tokens = SplitOn(text, ';');
-  size_t first_override = 0;
-  if (tokens[0].find('=') == std::string::npos) {
-    const std::string& preset = tokens[0];
-    if (preset == "opensys") {
-      *spec = OpenSysSpec();
-    } else if (preset == "opensys-smoke") {
-      *spec = OpenSysSmokeSpec();
-    } else {
-      *error = "unknown open sweep preset '" + preset + "'";
-      return false;
-    }
-    first_override = 1;
-  } else {
+  if (parts.head.empty()) {
     *spec = OpenSysSpec();  // custom specs start from the full grid
-    spec->name = "custom";
+  } else if (parts.head == "opensys") {
+    *spec = OpenSysSpec();
+  } else if (parts.head == "opensys-smoke") {
+    *spec = OpenSysSmokeSpec();
+  } else {
+    *error = "unknown open sweep preset '" + parts.head + "'";
+    return false;
   }
-  if (first_override < tokens.size()) {
+  if (!parts.overrides.empty()) {
     spec->name = text;  // overrides applied: record full provenance
   }
 
-  for (size_t i = first_override; i < tokens.size(); ++i) {
-    const std::string& token = tokens[i];
-    if (token.empty()) {
-      continue;
-    }
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      *error = "expected key=value, got '" + token + "'";
-      return false;
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    if (key == "policies") {
-      spec->policies.clear();
-      for (const std::string& name : SplitOn(value, ',')) {
-        PolicyKind kind;
-        if (!PolicyKindFromName(name, &kind)) {
-          *error = "unknown policy '" + name + "'";
-          return false;
-        }
-        spec->policies.push_back(kind);
-      }
-    } else if (key == "arrivals") {
+  constexpr uint64_t kAny = std::numeric_limits<uint64_t>::max();
+  for (const auto& [key, value] : parts.overrides) {
+    uint64_t n = 0;
+    double x = 0.0;
+    if (key == "arrivals") {
       spec->arrivals.clear();
-      for (const std::string& name : SplitOn(value, ',')) {
+      for (const std::string& name : SplitList(value, ',')) {
         ArrivalKind kind;
         if (!ArrivalKindFromName(name, &kind)) {
           *error = "unknown arrival process '" + name + "'";
@@ -182,127 +131,64 @@ bool ParseOpenSweepSpec(const std::string& text, OpenSweepSpec* spec, std::strin
       }
     } else if (key == "rhos") {
       spec->rhos.clear();
-      for (const std::string& number : SplitOn(value, ',')) {
-        const double rho = std::atof(number.c_str());
-        if (rho <= 0.0 || rho > 1.5) {
+      for (const std::string& number : SplitList(value, ',')) {
+        if (!ReadDoubleKey("rho", number, &x, error)) {
+          return false;
+        }
+        if (x <= 0.0 || x > 1.5) {
           *error = "rho '" + number + "' out of range (0, 1.5]";
           return false;
         }
-        spec->rhos.push_back(rho);
+        spec->rhos.push_back(x);
       }
     } else if (key == "count") {
-      const int n = std::atoi(value.c_str());
-      if (n < 1) {
-        *error = "count must be >= 1";
+      if (!ReadUintKey(key, value, 1, kAny, &n, error)) {
         return false;
       }
-      spec->jobs_per_cell = static_cast<size_t>(n);
+      spec->jobs_per_cell = n;
     } else if (key == "reps") {
-      const int n = std::atoi(value.c_str());
-      if (n < 1) {
-        *error = "reps must be >= 1";
+      if (!ReadUintKey(key, value, 1, kAny, &n, error)) {
         return false;
       }
-      spec->replications = static_cast<size_t>(n);
-    } else if (key == "seed") {
-      spec->root_seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "procs") {
-      const int n = std::atoi(value.c_str());
-      if (n < 1) {
-        *error = "procs must be >= 1";
-        return false;
-      }
-      spec->machine.num_processors = static_cast<size_t>(n);
-    } else if (key == "speed") {
-      spec->machine.processor_speed = std::atof(value.c_str());
-    } else if (key == "cache") {
-      spec->machine.cache_size_factor = std::atof(value.c_str());
-    } else if (key == "topology") {
-      // topology=preset or topology=preset,key=value,... (comma-separated;
-      // see src/topology). Cell seeds do not depend on the topology, so
-      // hierarchical cells share common random numbers with flat ones.
-      if (!ParseTopologySpec(value, &spec->machine.topology, error)) {
-        return false;
-      }
-    } else if (key == "steal") {
-      // steal=nosteal,cluster,... — sugar for the multi-queue policy family:
-      // replaces the policy list with the mq-* kind for each steal radius.
-      spec->policies.clear();
-      for (const std::string& name : SplitOn(value, ',')) {
-        PolicyKind kind;
-        if (!PolicyKindFromStealName(name, &kind)) {
-          *error = "unknown steal policy '" + name + "'";
-          return false;
-        }
-        spec->policies.push_back(kind);
-      }
+      spec->replications = n;
     } else if (key == "mpl-cap") {
-      const int n = std::atoi(value.c_str());
-      if (n < 0) {
-        *error = "mpl-cap must be >= 0 (0 = unbounded)";
+      if (!ReadUintKey(key, value, 0, kAny, &n, error)) {  // 0 = unbounded
         return false;
       }
-      spec->mpl_cap = static_cast<size_t>(n);
+      spec->mpl_cap = n;
     } else if (key == "max-queue") {
-      spec->max_queue = std::atoll(value.c_str());
+      if (!ParseInt64(value, &spec->max_queue)) {
+        *error = "max-queue expects an integer, got '" + value + "'";
+        return false;
+      }
     } else if (key == "warmup") {
       if (value == "mser") {
         spec->open.warmup_rule = WarmupRule::kMser;
       } else {
-        const double fraction = std::atof(value.c_str());
-        if (fraction < 0.0 || fraction >= 1.0) {
+        if (!ReadDoubleKey(key, value, &x, error)) {
+          return false;
+        }
+        if (x < 0.0 || x >= 1.0) {
           *error = "warmup must be 'mser' or a fraction in [0, 1)";
           return false;
         }
         spec->open.warmup_rule = WarmupRule::kFraction;
-        spec->open.warmup_fraction = fraction;
+        spec->open.warmup_fraction = x;
       }
     } else if (key == "burst") {
-      const double factor = std::atof(value.c_str());
-      if (factor <= 1.0) {
+      if (!ReadDoubleKey(key, value, &x, error)) {
+        return false;
+      }
+      if (x <= 1.0) {
         *error = "burst factor must be > 1";
         return false;
       }
-      spec->onoff_burst_factor = factor;
-    } else if (key == "colors") {
-      const int n = std::atoi(value.c_str());
-      if (n < 0 || n > 64) {
-        *error = "colors must be in 0..64 (0 = footprint model)";
-        return false;
-      }
-      spec->machine.num_colors = static_cast<size_t>(n);
-      spec->machine.cache_model =
-          n > 0 ? CacheModelKind::kPartitioned : CacheModelKind::kFootprint;
-    } else if (key == "rt") {
-      if (value == "1" || value == "true" || value == "on") {
-        spec->rt = true;
-      } else if (value == "0" || value == "false" || value == "off") {
-        spec->rt = false;
-      } else {
-        *error = "rt must be 0 or 1, got '" + value + "'";
-        return false;
-      }
-    } else if (key == "deadline-mix" || key == "deadline_mix") {
-      if (!IsDeadlineMix(value)) {
-        *error = "unknown deadline mix '" + value + "' (expected soft|hard|mixed|tight)";
-        return false;
-      }
-      spec->deadline_mix = value;
-    } else {
-      *error = "unknown open sweep spec key '" + key + "'";
+      spec->onoff_burst_factor = x;
+    } else if (!ApplyGridKey(key, value, spec, error)) {
       return false;
     }
   }
-  if (spec->policies.empty() || spec->arrivals.empty() || spec->rhos.empty()) {
-    *error = "open sweep spec needs at least one policy, arrival process and rho";
-    return false;
-  }
-  const std::string machine_problem = spec->machine.Validate();
-  if (!machine_problem.empty()) {
-    *error = machine_problem;
-    return false;
-  }
-  return true;
+  return CheckGrid(*spec, error);
 }
 
 namespace {
@@ -465,42 +351,25 @@ std::string OpenSweepResult::ToJson() const {
   std::ostringstream o;
   o << "{\"schema_version\":2,\"tool\":\"open_sweep_runner\",\"mode\":\"open\"";
 
-  o << ",\"spec\":{\"name\":\"" << JsonEscape(spec.name) << "\""
-    << ",\"root_seed\":" << spec.root_seed << ",\"machine\":{\"procs\":"
-    << spec.machine.num_processors << ",\"speed\":" << JsonNumber(spec.machine.processor_speed)
-    << ",\"cache\":" << JsonNumber(spec.machine.cache_size_factor);
-  if (spec.machine.cache_model == CacheModelKind::kPartitioned) {
-    o << ",\"colors\":" << spec.machine.num_colors;
-  }
-  if (!spec.machine.topology.IsFlat()) {
-    o << ",\"topology\":\"" << JsonEscape(spec.machine.topology.ToSpecString()) << "\"";
-  }
-  o << "}";
-  o << ",\"policies\":[";
-  for (size_t i = 0; i < spec.policies.size(); ++i) {
-    o << (i > 0 ? "," : "") << "\"" << PolicyKindCliName(spec.policies[i]) << "\"";
-  }
-  o << "],\"arrivals\":[";
-  for (size_t i = 0; i < spec.arrivals.size(); ++i) {
-    o << (i > 0 ? "," : "") << "\"" << ArrivalKindName(spec.arrivals[i]) << "\"";
-  }
-  o << "],\"rhos\":[";
-  for (size_t i = 0; i < spec.rhos.size(); ++i) {
-    o << (i > 0 ? "," : "") << JsonNumber(spec.rhos[i]);
-  }
-  o << "],\"jobs_per_cell\":" << spec.jobs_per_cell
-    << ",\"replications\":" << spec.replications << ",\"admission\":{\"name\":\""
-    << MakeAdmissionController(spec.mpl_cap, spec.max_queue)->Name()
-    << "\",\"mpl_cap\":" << spec.mpl_cap << ",\"max_queue\":" << spec.max_queue << "}"
-    << ",\"warmup\":{\"rule\":\""
-    << (spec.open.warmup_rule == WarmupRule::kMser ? "mser" : "fraction")
-    << "\",\"fraction\":" << JsonNumber(spec.open.warmup_fraction) << "}"
-    << ",\"littles_tolerance\":" << JsonNumber(spec.open.littles_tolerance)
-    << ",\"mean_demand_s\":" << JsonNumber(mean_demand_s);
-  if (spec.rt) {
-    o << ",\"rt\":true,\"deadline_mix\":\"" << JsonEscape(spec.deadline_mix) << "\"";
-  }
-  o << "}";
+  WriteGridSpecJson(o, spec, [this](std::ostream& own) {
+    own << ",\"arrivals\":[";
+    for (size_t i = 0; i < spec.arrivals.size(); ++i) {
+      own << (i > 0 ? "," : "") << "\"" << ArrivalKindName(spec.arrivals[i]) << "\"";
+    }
+    own << "],\"rhos\":[";
+    for (size_t i = 0; i < spec.rhos.size(); ++i) {
+      own << (i > 0 ? "," : "") << JsonNumber(spec.rhos[i]);
+    }
+    own << "],\"jobs_per_cell\":" << spec.jobs_per_cell
+        << ",\"replications\":" << spec.replications << ",\"admission\":{\"name\":\""
+        << MakeAdmissionController(spec.mpl_cap, spec.max_queue)->Name()
+        << "\",\"mpl_cap\":" << spec.mpl_cap << ",\"max_queue\":" << spec.max_queue << "}"
+        << ",\"warmup\":{\"rule\":\""
+        << (spec.open.warmup_rule == WarmupRule::kMser ? "mser" : "fraction")
+        << "\",\"fraction\":" << JsonNumber(spec.open.warmup_fraction) << "}"
+        << ",\"littles_tolerance\":" << JsonNumber(spec.open.littles_tolerance)
+        << ",\"mean_demand_s\":" << JsonNumber(mean_demand_s);
+  });
 
   o << ",\"cells\":[";
   for (size_t c = 0; c < cells.size(); ++c) {
@@ -543,12 +412,7 @@ std::string OpenSweepResult::ToJson() const {
 }
 
 bool OpenSweepResult::WriteJsonFile(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  out << ToJson() << "\n";
-  return out.good();
+  return WriteJsonDocument(path, ToJson());
 }
 
 }  // namespace affsched

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "src/opensys/driver.h"
+#include "src/runner/grid_spec.h"
 
 namespace affsched {
 
@@ -42,15 +43,23 @@ enum class ArrivalKind {
 std::string ArrivalKindName(ArrivalKind kind);
 bool ArrivalKindFromName(const std::string& name, ArrivalKind* kind);
 
-struct OpenSweepSpec {
-  std::string name = "opensys";
-  MachineConfig machine;
-  // Application set jobs are drawn from, with draw weights.
-  std::vector<AppProfile> apps;
+// An open grid: the shared GridSpec fields (src/runner/grid_spec.h) plus
+// the arrival and admission axes. `apps` is drawn from with `app_weights`.
+// rt=1 stamps the deadline mix onto the application set before any cell
+// runs and reports per-cell deadline-miss counts (a completed job misses
+// when its sojourn — queue wait plus service — exceeds its relative
+// deadline; rejected jobs are excluded). The document stays schema 2; the
+// extra fields only appear when rt is set, so non-rt documents are
+// byte-identical.
+struct OpenSweepSpec : GridSpec {
+  OpenSweepSpec() {
+    name = "opensys";
+    root_seed = 2000;
+  }
+
   std::vector<double> app_weights;
 
-  // Grid axes.
-  std::vector<PolicyKind> policies;
+  // Grid axes (policies come from GridSpec).
   std::vector<ArrivalKind> arrivals;
   std::vector<double> rhos;  // offered loads, each in (0, 1.5]
   size_t replications = 1;
@@ -70,17 +79,6 @@ struct OpenSweepSpec {
   double onoff_burst_factor = 4.0;
   double onoff_burst_arrivals = 12.0;
 
-  // Real-time mode: stamp the deadline mix onto the application set before
-  // any cell runs, and report per-cell deadline-miss counts (a completed job
-  // misses when its sojourn — queue wait plus service — exceeds its relative
-  // deadline; rejected jobs are excluded). The document stays schema 2; the
-  // extra fields only appear when rt is set, so non-rt documents are
-  // byte-identical. Spec keys: rt=1, deadline-mix=soft|hard|mixed|tight,
-  // colors=N (partitioned cache substrate).
-  bool rt = false;
-  std::string deadline_mix = "soft";
-
-  uint64_t root_seed = 2000;
   OpenSystemOptions open;
 
   size_t Cells() const {
@@ -97,14 +95,11 @@ OpenSweepSpec OpenSysSpec();       // 3 policies x 6 rhos x {poisson, onoff}
 OpenSweepSpec OpenSysSmokeSpec();  // 2 policies x 2 rhos x poisson
 
 // Parses an open sweep spec string: a preset name ("opensys",
-// "opensys-smoke"), a "key=value;..." list, or a preset plus overrides.
-// Keys: policies, rhos (comma-separated), arrivals (comma-separated kinds),
-// count (arrivals per cell), reps, seed, procs, speed, cache, topology,
-// steal (comma-separated steal radii — sugar for the mq-* policy family),
-// mpl-cap, max-queue, warmup ("mser" or a fraction), burst (on/off burst
-// factor), colors (partitioned cache model with N page colors; 0 restores
-// footprint), rt (0/1 — deadline accounting), deadline-mix
-// (soft|hard|mixed|tight).
+// "opensys-smoke"), a "key=value;..." list (starting from the opensys grid),
+// or a preset plus overrides. Keys: the shared grid keys of
+// src/runner/grid_spec.h, plus rhos (comma-separated), arrivals
+// (comma-separated kinds), count (arrivals per cell), reps, mpl-cap,
+// max-queue, warmup ("mser" or a fraction) and burst (on/off burst factor).
 bool ParseOpenSweepSpec(const std::string& text, OpenSweepSpec* spec, std::string* error);
 
 // Deterministic mean job demand in seconds of base-machine work: a fixed

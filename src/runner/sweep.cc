@@ -1,15 +1,14 @@
 #include "src/runner/sweep.h"
 
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
 #include <algorithm>
+#include <limits>
+#include <sstream>
+#include <utility>
 
 #include "src/apps/apps.h"
 #include "src/common/check.h"
+#include "src/common/flags.h"
 #include "src/common/time.h"
-#include "src/rt/deadline_mix.h"
 #include "src/runner/cell_seed.h"
 #include "src/telemetry/json.h"
 
@@ -21,18 +20,26 @@ size_t SweepSpec::MinCells() const {
 
 namespace {
 
-SweepSpec BaseSpec() {
+// A preset grid on PaperMachineConfig() + DefaultProfiles().
+SweepSpec Preset(const char* name, std::vector<PolicyKind> policies,
+                 std::vector<WorkloadMix> mixes, size_t min_reps, size_t max_reps,
+                 uint64_t root_seed) {
   SweepSpec spec;
+  spec.name = name;
   spec.machine = PaperMachineConfig();
   spec.apps = DefaultProfiles();
+  spec.policies = std::move(policies);
+  spec.mixes = std::move(mixes);
+  spec.replication.min_replications = min_reps;
+  spec.replication.max_replications = max_reps;
+  spec.root_seed = root_seed;
   return spec;
 }
 
-std::vector<PolicyKind> EquiPlusDynamicFamily() {
+// Equipartition followed by `family`.
+std::vector<PolicyKind> EquiPlus(const std::vector<PolicyKind>& family) {
   std::vector<PolicyKind> policies = {PolicyKind::kEquipartition};
-  for (PolicyKind kind : DynamicFamily()) {
-    policies.push_back(kind);
-  }
+  policies.insert(policies.end(), family.begin(), family.end());
   return policies;
 }
 
@@ -41,73 +48,30 @@ std::vector<WorkloadMix> AllMixes() {
   return std::vector<WorkloadMix>(mixes.begin(), mixes.end());
 }
 
-std::vector<std::string> SplitOn(const std::string& text, char sep) {
-  std::vector<std::string> parts;
-  std::string part;
-  std::istringstream in(text);
-  while (std::getline(in, part, sep)) {
-    parts.push_back(part);
-  }
-  return parts;
-}
+std::vector<WorkloadMix> MixesOneAndFive() { return {PaperMixes()[0], PaperMixes()[4]}; }
 
 }  // namespace
 
 SweepSpec Fig5Spec() {
-  SweepSpec spec = BaseSpec();
-  spec.name = "fig5";
-  spec.policies = EquiPlusDynamicFamily();
-  spec.mixes = AllMixes();
-  spec.replication.min_replications = 3;
-  spec.replication.max_replications = 5;
-  spec.root_seed = 1000;
-  return spec;
+  return Preset("fig5", EquiPlus(DynamicFamily()), AllMixes(), 3, 5, 1000);
 }
 
 SweepSpec Table3Spec() {
-  SweepSpec spec = BaseSpec();
-  spec.name = "table3";
-  spec.policies = DynamicFamily();
-  spec.mixes = {PaperMixes()[4]};  // workload #5: 1 MATRIX + 1 GRAVITY
-  spec.replication.min_replications = 3;
-  spec.replication.max_replications = 5;
-  spec.root_seed = 555;
-  return spec;
+  // Workload #5: 1 MATRIX + 1 GRAVITY.
+  return Preset("table3", DynamicFamily(), {PaperMixes()[4]}, 3, 5, 555);
 }
 
 SweepSpec FutureSpec() {
-  SweepSpec spec = BaseSpec();
-  spec.name = "future";
-  spec.policies = EquiPlusDynamicFamily();
-  spec.mixes = AllMixes();
-  spec.replication.min_replications = 3;
-  spec.replication.max_replications = 4;
-  spec.root_seed = 8000;
-  return spec;
+  return Preset("future", EquiPlus(DynamicFamily()), AllMixes(), 3, 4, 8000);
 }
 
 SweepSpec SmokeSpec() {
-  SweepSpec spec = BaseSpec();
-  spec.name = "smoke";
-  spec.policies = {PolicyKind::kEquipartition, PolicyKind::kDynamic, PolicyKind::kDynAff};
-  spec.mixes = {PaperMixes()[0], PaperMixes()[4]};
-  spec.replication.min_replications = 2;
-  spec.replication.max_replications = 2;
-  spec.root_seed = 1000;
-  return spec;
+  return Preset("smoke", {PolicyKind::kEquipartition, PolicyKind::kDynamic, PolicyKind::kDynAff},
+                MixesOneAndFive(), 2, 2, 1000);
 }
 
 SweepSpec MqSpec() {
-  SweepSpec spec = BaseSpec();
-  spec.name = "mq";
-  spec.policies = {PolicyKind::kEquipartition};
-  for (PolicyKind kind : MqPolicyFamily()) {
-    spec.policies.push_back(kind);
-  }
-  spec.mixes = {PaperMixes()[0], PaperMixes()[4]};
-  spec.replication.min_replications = 2;
-  spec.replication.max_replications = 2;
-  spec.root_seed = 1000;
+  SweepSpec spec = Preset("mq", EquiPlus(MqPolicyFamily()), MixesOneAndFive(), 2, 2, 1000);
   // 16 procs as 4-core clusters, 2 clusters per node: distance tiers 1, 2
   // and 3 are all distinct, so every steal radius behaves differently.
   std::string topo_error;
@@ -119,13 +83,9 @@ SweepSpec MqSpec() {
 }
 
 SweepSpec RtSpec() {
-  SweepSpec spec = BaseSpec();
-  spec.name = "rt";
-  spec.policies = {PolicyKind::kDynAff, PolicyKind::kRtStaticAffinity, PolicyKind::kRtColorIso};
-  spec.mixes = {PaperMixes()[0], PaperMixes()[4]};
-  spec.replication.min_replications = 2;
-  spec.replication.max_replications = 2;
-  spec.root_seed = 1000;
+  SweepSpec spec = Preset(
+      "rt", {PolicyKind::kDynAff, PolicyKind::kRtStaticAffinity, PolicyKind::kRtColorIso},
+      MixesOneAndFive(), 2, 2, 1000);
   spec.rt = true;
   spec.deadline_mix = "soft";
   spec.machine.cache_model = CacheModelKind::kPartitioned;
@@ -134,180 +94,77 @@ SweepSpec RtSpec() {
 }
 
 bool ParseSweepSpec(const std::string& text, SweepSpec* spec, std::string* error) {
-  if (text.empty()) {
-    *error = "empty sweep spec";
+  SpecText parts;
+  if (!SplitSpecText(text, ';', "sweep", &parts, error)) {
     return false;
   }
-  const std::vector<std::string> tokens = SplitOn(text, ';');
-  size_t first_override = 0;
-  if (tokens[0].find('=') == std::string::npos) {
-    const std::string& preset = tokens[0];
-    if (preset == "fig5") {
-      *spec = Fig5Spec();
-    } else if (preset == "table3") {
-      *spec = Table3Spec();
-    } else if (preset == "future") {
-      *spec = FutureSpec();
-    } else if (preset == "smoke") {
-      *spec = SmokeSpec();
-    } else if (preset == "mq") {
-      *spec = MqSpec();
-    } else if (preset == "rt") {
-      *spec = RtSpec();
-    } else {
-      *error = "unknown sweep preset '" + preset + "'";
-      return false;
-    }
-    first_override = 1;
-  } else {
+  if (parts.head.empty()) {
     *spec = Fig5Spec();  // custom specs start from the full grid
-    spec->name = "custom";
+  } else if (parts.head == "fig5") {
+    *spec = Fig5Spec();
+  } else if (parts.head == "table3") {
+    *spec = Table3Spec();
+  } else if (parts.head == "future") {
+    *spec = FutureSpec();
+  } else if (parts.head == "smoke") {
+    *spec = SmokeSpec();
+  } else if (parts.head == "mq") {
+    *spec = MqSpec();
+  } else if (parts.head == "rt") {
+    *spec = RtSpec();
+  } else {
+    *error = "unknown sweep preset '" + parts.head + "'";
+    return false;
   }
-  if (first_override < tokens.size()) {
+  if (!parts.overrides.empty()) {
     spec->name = text;  // overrides applied: record full provenance
   }
 
-  for (size_t i = first_override; i < tokens.size(); ++i) {
-    const std::string& token = tokens[i];
-    if (token.empty()) {
-      continue;
-    }
-    const size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-      *error = "expected key=value, got '" + token + "'";
-      return false;
-    }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    if (key == "policies") {
-      spec->policies.clear();
-      for (const std::string& name : SplitOn(value, ',')) {
-        PolicyKind kind;
-        if (!PolicyKindFromName(name, &kind)) {
-          *error = "unknown policy '" + name + "'";
-          return false;
-        }
-        spec->policies.push_back(kind);
-      }
-    } else if (key == "mixes") {
+  constexpr uint64_t kAny = std::numeric_limits<uint64_t>::max();
+  for (const auto& [key, value] : parts.overrides) {
+    uint64_t n = 0;
+    if (key == "mixes") {
       spec->mixes.clear();
-      for (const std::string& number : SplitOn(value, ',')) {
-        const int n = std::atoi(number.c_str());
-        if (n < 1 || n > 6) {
-          *error = "mix number '" + number + "' out of range 1-6";
+      for (const std::string& number : SplitList(value, ',')) {
+        if (!ReadUintKey("mix number", number, 1, 6, &n, error)) {
           return false;
         }
-        spec->mixes.push_back(PaperMixes()[static_cast<size_t>(n - 1)]);
+        spec->mixes.push_back(PaperMixes()[n - 1]);
       }
     } else if (key == "reps") {
+      // N fixed, or MIN-MAX adaptive.
       const size_t dash = value.find('-');
-      if (dash == std::string::npos) {
-        const int n = std::atoi(value.c_str());
-        if (n < 1) {
-          *error = "reps must be >= 1";
-          return false;
-        }
-        spec->replication.min_replications = static_cast<size_t>(n);
-        spec->replication.max_replications = static_cast<size_t>(n);
-      } else {
-        const int lo = std::atoi(value.substr(0, dash).c_str());
-        const int hi = std::atoi(value.substr(dash + 1).c_str());
-        if (lo < 1 || hi < lo) {
-          *error = "bad reps range '" + value + "'";
-          return false;
-        }
-        spec->replication.min_replications = static_cast<size_t>(lo);
-        spec->replication.max_replications = static_cast<size_t>(hi);
+      uint64_t hi = 0;
+      if (!ReadUintKey(key, value.substr(0, dash), 1, kAny, &n, error) ||
+          !ReadUintKey(key, dash == std::string::npos ? value : value.substr(dash + 1), n, kAny,
+                       &hi, error)) {
+        return false;
       }
+      spec->replication.min_replications = n;
+      spec->replication.max_replications = hi;
     } else if (key == "precision") {
-      spec->replication.relative_precision = std::atof(value.c_str());
-    } else if (key == "seed") {
-      spec->root_seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (key == "procs") {
-      const int n = std::atoi(value.c_str());
-      if (n < 1) {
-        *error = "procs must be >= 1";
+      if (!ReadDoubleKey(key, value, &spec->replication.relative_precision, error)) {
         return false;
       }
-      spec->machine.num_processors = static_cast<size_t>(n);
-    } else if (key == "speed") {
-      spec->machine.processor_speed = std::atof(value.c_str());
-    } else if (key == "cache") {
-      spec->machine.cache_size_factor = std::atof(value.c_str());
     } else if (key == "observability") {
-      if (value == "1" || value == "true" || value == "on") {
-        spec->observability = true;
-      } else if (value == "0" || value == "false" || value == "off") {
-        spec->observability = false;
-      } else {
-        *error = "observability must be 0 or 1, got '" + value + "'";
+      if (!ReadBoolKey(key, value, &spec->observability, error)) {
         return false;
-      }
-    } else if (key == "steal") {
-      // steal=nosteal,cluster,... — sugar for the multi-queue policy family:
-      // replaces the policy list with the mq-* kind for each steal radius.
-      spec->policies.clear();
-      for (const std::string& name : SplitOn(value, ',')) {
-        PolicyKind kind;
-        if (!PolicyKindFromStealName(name, &kind)) {
-          *error = "unknown steal policy '" + name + "'";
-          return false;
-        }
-        spec->policies.push_back(kind);
       }
     } else if (key == "balance-interval" || key == "balance_interval") {
-      const double ms = std::atof(value.c_str());
-      if (ms < 0) {
-        *error = "balance interval must be >= 0 ms";
+      double ms = 0.0;
+      if (!ReadDoubleKey(key, value, &ms, error)) {
+        return false;
+      }
+      if (ms < 0 || ms > 1e6) {
+        *error = "balance-interval must be in [0, 1e6] ms";
         return false;
       }
       spec->engine.balance_interval = Milliseconds(ms);
-    } else if (key == "colors") {
-      const int n = std::atoi(value.c_str());
-      if (n < 0 || n > 64) {
-        *error = "colors must be in 0..64 (0 = footprint model)";
-        return false;
-      }
-      spec->machine.num_colors = static_cast<size_t>(n);
-      spec->machine.cache_model =
-          n > 0 ? CacheModelKind::kPartitioned : CacheModelKind::kFootprint;
-    } else if (key == "rt") {
-      if (value == "1" || value == "true" || value == "on") {
-        spec->rt = true;
-      } else if (value == "0" || value == "false" || value == "off") {
-        spec->rt = false;
-      } else {
-        *error = "rt must be 0 or 1, got '" + value + "'";
-        return false;
-      }
-    } else if (key == "deadline-mix" || key == "deadline_mix") {
-      if (!IsDeadlineMix(value)) {
-        *error = "unknown deadline mix '" + value + "' (expected soft|hard|mixed|tight)";
-        return false;
-      }
-      spec->deadline_mix = value;
-    } else if (key == "topology") {
-      // topology=preset or topology=preset,key=value,... (comma-separated;
-      // see src/topology). Cell seeds do not depend on the topology, so
-      // hierarchical cells share common random numbers with flat ones.
-      if (!ParseTopologySpec(value, &spec->machine.topology, error)) {
-        return false;
-      }
-    } else {
-      *error = "unknown sweep spec key '" + key + "'";
+    } else if (!ApplyGridKey(key, value, spec, error)) {
       return false;
     }
   }
-  if (spec->policies.empty() || spec->mixes.empty()) {
-    *error = "sweep spec needs at least one policy and one mix";
-    return false;
-  }
-  const std::string machine_problem = spec->machine.Validate();
-  if (!machine_problem.empty()) {
-    *error = machine_problem;
-    return false;
-  }
-  return true;
+  return CheckGrid(*spec, error);
 }
 
 const ExperimentResult* SweepResult::Find(PolicyKind policy, int mix_number) const {
@@ -371,33 +228,16 @@ std::string SweepResult::ToJson() const {
   o << "{\"schema_version\":" << ((spec.observability || spec.rt) ? 3 : 1)
     << ",\"tool\":\"sweep_runner\"";
 
-  o << ",\"spec\":{\"name\":\"" << JsonEscape(spec.name) << "\""
-    << ",\"root_seed\":" << spec.root_seed << ",\"machine\":{\"procs\":"
-    << spec.machine.num_processors << ",\"speed\":" << JsonNumber(spec.machine.processor_speed)
-    << ",\"cache\":" << JsonNumber(spec.machine.cache_size_factor);
-  if (spec.machine.cache_model == CacheModelKind::kPartitioned) {
-    o << ",\"colors\":" << spec.machine.num_colors;
-  }
-  if (!spec.machine.topology.IsFlat()) {
-    o << ",\"topology\":\"" << JsonEscape(spec.machine.topology.ToSpecString()) << "\"";
-  }
-  o << "}";
-  o << ",\"policies\":[";
-  for (size_t i = 0; i < spec.policies.size(); ++i) {
-    o << (i > 0 ? "," : "") << "\"" << PolicyKindCliName(spec.policies[i]) << "\"";
-  }
-  o << "],\"mixes\":[";
-  for (size_t i = 0; i < spec.mixes.size(); ++i) {
-    o << (i > 0 ? "," : "") << spec.mixes[i].number;
-  }
-  o << "],\"replications\":{\"min\":" << spec.replication.min_replications
-    << ",\"max\":" << spec.replication.max_replications
-    << ",\"precision\":" << JsonNumber(spec.replication.relative_precision)
-    << ",\"confidence\":" << JsonNumber(spec.replication.confidence) << "}";
-  if (spec.rt) {
-    o << ",\"rt\":true,\"deadline_mix\":\"" << JsonEscape(spec.deadline_mix) << "\"";
-  }
-  o << "}";
+  WriteGridSpecJson(o, spec, [this](std::ostream& own) {
+    own << ",\"mixes\":[";
+    for (size_t i = 0; i < spec.mixes.size(); ++i) {
+      own << (i > 0 ? "," : "") << spec.mixes[i].number;
+    }
+    own << "],\"replications\":{\"min\":" << spec.replication.min_replications
+        << ",\"max\":" << spec.replication.max_replications
+        << ",\"precision\":" << JsonNumber(spec.replication.relative_precision)
+        << ",\"confidence\":" << JsonNumber(spec.replication.confidence) << "}";
+  });
 
   const bool tiered = !spec.machine.topology.IsFlat();
   bool mq = false;
@@ -564,12 +404,7 @@ std::string SweepResult::ToJson() const {
 }
 
 bool SweepResult::WriteJsonFile(const std::string& path) const {
-  std::ofstream out(path, std::ios::out | std::ios::trunc);
-  if (!out.is_open()) {
-    return false;
-  }
-  out << ToJson() << "\n";
-  return out.good();
+  return WriteJsonDocument(path, ToJson());
 }
 
 }  // namespace affsched

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/runner/cell_seed.h"
-#include "src/serve/jsonv.h"
 #include "src/telemetry/json.h"
 
 namespace fs = std::filesystem;

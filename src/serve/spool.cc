@@ -13,7 +13,6 @@
 #include "src/apps/apps.h"
 #include "src/measure/mixes.h"
 #include "src/runner/cell_seed.h"
-#include "src/serve/jsonv.h"
 #include "src/telemetry/json.h"
 
 namespace fs = std::filesystem;

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <cstring>
 
-#include "src/serve/jsonv.h"
 #include "src/telemetry/json.h"
 
 namespace affsched {

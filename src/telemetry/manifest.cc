@@ -9,7 +9,6 @@
 #endif
 
 #include "src/telemetry/json.h"
-#include "src/telemetry/sampler.h"
 
 namespace affsched {
 
@@ -106,7 +105,7 @@ std::string RunManifest::ToJson() const {
 }
 
 bool RunManifest::WriteFile(const std::string& path) const {
-  return Sampler::WriteFile(path, ToJson() + "\n");
+  return WriteJsonDocument(path, ToJson());
 }
 
 }  // namespace affsched

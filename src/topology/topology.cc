@@ -1,10 +1,10 @@
 #include "src/topology/topology.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "src/common/check.h"
+#include "src/common/flags.h"
 #include "src/common/table.h"
 
 namespace affsched {
@@ -32,7 +32,7 @@ double TopologySpec::LlcCapacityBlocks(size_t line_bytes) const {
 
 namespace {
 
-// Doubles print with enough digits that std::atof round-trips them exactly.
+// Doubles print with enough digits that ParseDouble round-trips them exactly.
 std::string FormatExact(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
@@ -74,11 +74,11 @@ std::string TopologySpec::Validate(size_t num_processors) const {
       return "LLC capacity is smaller than one LLC line (zero-capacity level)";
     }
   }
-  if (llc_hit_factor <= 0.0 || llc_hit_factor > 1.0) {
+  if (!(llc_hit_factor > 0.0 && llc_hit_factor <= 1.0)) {
     return "llc-factor must be in (0, 1]: an LLC hit costs a fraction of a memory fill";
   }
-  if (remote_multiplier < 1.0) {
-    return "remote must be >= 1: a remote fill cannot be cheaper than a local one";
+  if (!(remote_multiplier >= 1.0 && remote_multiplier <= 1e3)) {
+    return "remote must be in [1, 1e3]: a remote fill cannot be cheaper than a local one";
   }
   return "";
 }
@@ -126,55 +126,42 @@ bool TopologyPresetFromName(const std::string& name, TopologySpec* spec) {
 }
 
 bool ParseTopologySpec(const std::string& text, TopologySpec* spec, std::string* error) {
-  if (text.empty()) {
-    *error = "empty topology spec";
+  SpecText parts;
+  if (!SplitSpecText(text, ',', "topology", &parts, error)) {
     return false;
   }
-  std::vector<std::string> tokens;
-  std::string token;
-  std::istringstream in(text);
-  while (std::getline(in, token, ',')) {
-    tokens.push_back(token);
-  }
-  size_t first_override = 0;
-  if (tokens[0].find('=') == std::string::npos) {
-    if (!TopologyPresetFromName(tokens[0], spec)) {
-      *error = "unknown topology preset '" + tokens[0] + "'";
-      return false;
-    }
-    first_override = 1;
-  } else {
+  if (parts.head.empty()) {
     *spec = SymmetryFlatTopology();
     spec->name = "custom";
+  } else if (!TopologyPresetFromName(parts.head, spec)) {
+    *error = "unknown topology preset '" + parts.head + "'";
+    return false;
   }
 
-  for (size_t i = first_override; i < tokens.size(); ++i) {
-    if (tokens[i].empty()) {
-      continue;
-    }
-    const size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      *error = "expected key=value, got '" + tokens[i] + "'";
-      return false;
-    }
-    const std::string key = tokens[i].substr(0, eq);
-    const std::string value = tokens[i].substr(eq + 1);
+  for (const auto& [key, value] : parts.overrides) {
+    size_t* count = key == "cores-per-cluster"   ? &spec->cores_per_cluster
+                      : key == "clusters-per-node" ? &spec->clusters_per_node
+                      : key == "llc-kb"            ? &spec->llc_kb
+                      : key == "llc-line"          ? &spec->llc_line_bytes
+                      : key == "llc-ways"          ? &spec->llc_ways
+                                                   : nullptr;
+    double* factor = key == "llc-factor" ? &spec->llc_hit_factor
+                     : key == "remote"   ? &spec->remote_multiplier
+                                         : nullptr;
     if (key == "name") {
       spec->name = value;
-    } else if (key == "cores-per-cluster") {
-      spec->cores_per_cluster = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (key == "clusters-per-node") {
-      spec->clusters_per_node = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (key == "llc-kb") {
-      spec->llc_kb = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (key == "llc-line") {
-      spec->llc_line_bytes = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (key == "llc-ways") {
-      spec->llc_ways = static_cast<size_t>(std::atoll(value.c_str()));
-    } else if (key == "llc-factor") {
-      spec->llc_hit_factor = std::atof(value.c_str());
-    } else if (key == "remote") {
-      spec->remote_multiplier = std::atof(value.c_str());
+    } else if (count != nullptr) {
+      uint64_t n = 0;
+      if (!ParseUint64(value, &n)) {
+        *error = "topology " + key + " expects a non-negative integer, got '" + value + "'";
+        return false;
+      }
+      *count = n;
+    } else if (factor != nullptr) {
+      if (!ParseDouble(value, factor)) {
+        *error = "topology " + key + " expects a finite number, got '" + value + "'";
+        return false;
+      }
     } else {
       *error = "unknown topology spec key '" + key + "'";
       return false;

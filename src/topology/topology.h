@@ -90,7 +90,9 @@ bool TopologyPresetFromName(const std::string& name, TopologySpec* spec);
 // Parses "preset" or "preset,key=value,..." or "key=value,...". Keys:
 // name, cores-per-cluster, clusters-per-node, llc-kb, llc-line, llc-ways,
 // llc-factor, remote. Overrides apply on top of the preset (default
-// symmetry-flat). Returns false and sets *error on failure.
+// symmetry-flat). Counts must be whole unsigned integers and factors finite
+// numbers; ranges are left to Validate. Returns false and sets *error on
+// failure.
 bool ParseTopologySpec(const std::string& text, TopologySpec* spec, std::string* error);
 
 // Human-readable preset table for `simctl --list-topologies`.

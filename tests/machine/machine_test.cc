@@ -36,6 +36,45 @@ TEST(MachineConfigTest, FutureScalingFollowsFigure7) {
   EXPECT_DOUBLE_EQ(config.CapacityBlocks(), 4096.0 * 4.0);
 }
 
+TEST(MachineConfigTest, ValidateBoundsTheMachineShape) {
+  MachineConfig config;
+  config.num_processors = MachineConfig::kMaxProcessors;
+  config.processor_speed = 1e3;
+  config.cache_size_factor = 1e-3;
+  EXPECT_EQ(config.Validate(), "");
+  config.processor_speed = 1e-3;
+  config.cache_size_factor = 1e3;
+  EXPECT_EQ(config.Validate(), "");
+
+  config = MachineConfig{};
+  config.num_processors = 1025;
+  EXPECT_NE(config.Validate().find("procs"), std::string::npos);
+  config.num_processors = 100000;
+  EXPECT_NE(config.Validate().find("procs"), std::string::npos);
+
+  // speed=1e-9 once stretched chunks past the event clock; speed=1e20 and
+  // NaN broke it the other way.
+  for (double bad : {1e-9, 9.99e-4, 1000.5, 1e20, std::nan(""), -1.0}) {
+    config = MachineConfig{};
+    config.processor_speed = bad;
+    EXPECT_NE(config.Validate().find("speed"), std::string::npos) << bad;
+    config = MachineConfig{};
+    config.cache_size_factor = bad;
+    EXPECT_NE(config.Validate().find("cache"), std::string::npos) << bad;
+  }
+}
+
+TEST(MachineConfigTest, ExperimentMachinesFitTheBounds) {
+  // The largest shapes the repo's experiments build: 32-processor NUMA, the
+  // Section 7 future machines (speed up to 128, cache up to 16).
+  MachineConfig config;
+  config.num_processors = 32;
+  config.topology = NumaTopology();
+  config.processor_speed = 128.0;
+  config.cache_size_factor = 16.0;
+  EXPECT_EQ(config.Validate(), "");
+}
+
 TEST(MachineTest, ProcessorsHaveIndependentCaches) {
   MachineConfig config;
   config.num_processors = 2;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/telemetry/json.h"
+#include "tests/runner/hostile_spec_values.h"
 
 namespace affsched {
 namespace {
@@ -78,6 +79,49 @@ TEST(OpenSweepSpecTest, MalformedSpecsRejected) {
   EXPECT_FALSE(ParseOpenSweepSpec("opensys;arrivals=weird", &spec, &error));
   EXPECT_FALSE(ParseOpenSweepSpec("opensys;warmup=1.5", &spec, &error));
   EXPECT_FALSE(ParseOpenSweepSpec("opensys;policies=", &spec, &error));
+}
+
+TEST(OpenSweepSpecTest, RejectsHostileNumbersForEverySharedKey) {
+  for (const std::string& override_text : HostileGridOverrides()) {
+    const std::string text = "opensys-smoke;" + override_text;
+    OpenSweepSpec spec;
+    std::string error;
+    EXPECT_FALSE(ParseOpenSweepSpec(text, &spec, &error)) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+}
+
+TEST(OpenSweepSpecTest, RejectsMalformedNumbersForOpenKeys) {
+  for (const char* key :
+       {"rhos", "count", "reps", "mpl-cap", "max-queue", "warmup", "burst", "rt"}) {
+    for (const std::string& value : kMalformedNumbers) {
+      const std::string text = "opensys-smoke;" + std::string(key) + "=" + value;
+      OpenSweepSpec spec;
+      std::string error;
+      EXPECT_FALSE(ParseOpenSweepSpec(text, &spec, &error)) << text;
+      EXPECT_FALSE(error.empty()) << text;
+    }
+  }
+}
+
+TEST(OpenSweepSpecTest, SharedKeysMatchTheClosedGrammar) {
+  OpenSweepSpec spec;
+  std::string error;
+  ASSERT_TRUE(ParseOpenSweepSpec(
+      "opensys-smoke;seed=9223372036854775815;procs=8;speed=2;cache=0.5;colors=4;rt=on;"
+      "deadline-mix=hard;steal=cluster",
+      &spec, &error))
+      << error;
+  EXPECT_EQ(spec.root_seed, 9223372036854775815ull);
+  EXPECT_EQ(spec.machine.num_processors, 8u);
+  EXPECT_DOUBLE_EQ(spec.machine.processor_speed, 2.0);
+  EXPECT_DOUBLE_EQ(spec.machine.cache_size_factor, 0.5);
+  EXPECT_EQ(spec.machine.cache_model, CacheModelKind::kPartitioned);
+  EXPECT_EQ(spec.machine.num_colors, 4u);
+  EXPECT_TRUE(spec.rt);
+  EXPECT_EQ(spec.deadline_mix, "hard");
+  ASSERT_EQ(spec.policies.size(), 1u);
+  EXPECT_TRUE(IsMqPolicy(spec.policies[0]));
 }
 
 TEST(OpenSweepSpecTest, ArrivalKindNamesRoundTrip) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/serve/spec_canon.h"
+#include "tests/runner/hostile_spec_values.h"
+
 namespace affsched {
 namespace {
 
@@ -103,6 +106,55 @@ TEST(SweepSpecTest, ObservabilityKeyParsesAndDefaultsOff) {
   }
   EXPECT_FALSE(ParseSweepSpec("smoke;observability=maybe", &spec, &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(SweepSpecTest, RejectsHostileNumbersForEverySharedKey) {
+  for (const std::string& override_text : HostileGridOverrides()) {
+    const std::string text = "smoke;" + override_text;
+    SweepSpec spec;
+    std::string error;
+    EXPECT_FALSE(ParseSweepSpec(text, &spec, &error)) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+}
+
+TEST(SweepSpecTest, RejectsMalformedNumbersForClosedKeys) {
+  for (const char* key : {"mixes", "reps", "precision", "balance-interval", "observability"}) {
+    for (const std::string& value : kMalformedNumbers) {
+      const std::string text = "smoke;" + std::string(key) + "=" + value;
+      SweepSpec spec;
+      std::string error;
+      EXPECT_FALSE(ParseSweepSpec(text, &spec, &error)) << text;
+      EXPECT_FALSE(error.empty()) << text;
+    }
+  }
+}
+
+TEST(SweepSpecTest, RejectsInputsTheLaxParserAccepted) {
+  for (const char* text :
+       {"smoke;policies=equi,", "smoke;mixes=1,", "smoke;mixes=,1", "smoke;reps=3-5-7",
+        "smoke;reps= 2", "smoke;seed=-1", "smoke;procs=8.5", "smoke;speed=1e-9",
+        "smoke;procs=100000", "smoke;topology=numa-4x8,remote=1e20",
+        "smoke;balance-interval=1e300", "smoke;colors=65"}) {
+    SweepSpec spec;
+    std::string error;
+    EXPECT_FALSE(ParseSweepSpec(text, &spec, &error)) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+}
+
+TEST(SweepSpecTest, NumberRespellingsCanonicalizeIdentically) {
+  SweepSpec spec;
+  std::string error;
+  ASSERT_TRUE(ParseSweepSpec("smoke", &spec, &error)) << error;
+  const std::string canonical = CanonicalSpecText(spec);
+  for (const char* text :
+       {"smoke;speed=1", "smoke;speed=1.0", "smoke;speed=1.00", "smoke;speed=1e0",
+        "smoke;cache=1.0;speed=1e0", "smoke;seed=1000;procs=16"}) {
+    ASSERT_TRUE(ParseSweepSpec(text, &spec, &error)) << text << ": " << error;
+    EXPECT_EQ(CanonicalSpecText(spec), canonical) << text;
+    EXPECT_EQ(spec.name, text);  // provenance keeps the spelling
+  }
 }
 
 TEST(SweepSpecTest, MinCellsCountsTheGrid) {

@@ -9,7 +9,7 @@
 #include <fstream>
 #include <string>
 
-#include "src/serve/jsonv.h"
+#include "src/telemetry/json.h"
 
 namespace affsched {
 namespace {

@@ -10,8 +10,8 @@
 
 #include "src/apps/apps.h"
 #include "src/runner/runner.h"
-#include "src/serve/jsonv.h"
 #include "src/serve/spool.h"
+#include "src/telemetry/json.h"
 
 namespace affsched {
 namespace {

@@ -8,7 +8,7 @@
 #include <string>
 #include <thread>
 
-#include "src/serve/jsonv.h"
+#include "src/telemetry/json.h"
 
 namespace affsched {
 namespace {

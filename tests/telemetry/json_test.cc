@@ -1,4 +1,4 @@
-#include "src/serve/jsonv.h"
+#include "src/telemetry/json.h"
 
 #include <gtest/gtest.h>
 
@@ -95,6 +95,10 @@ TEST(JsonvTest, ExactDoubleRoundTripsBitIdentically) {
   // Non-finite values are not representable; strict readers must reject.
   EXPECT_EQ(ExactDouble(std::nan("")), "null");
   EXPECT_EQ(ExactDouble(std::numeric_limits<double>::infinity()), "null");
+  // Negative zero keeps its sign (JsonNumber, a display format, drops it).
+  EXPECT_EQ(ExactDouble(-0.0), "-0");
+  EXPECT_TRUE(std::signbit(MustParse(ExactDouble(-0.0)).AsDouble()));
+  EXPECT_EQ(JsonNumber(-0.0), "0");
 }
 
 TEST(JsonvTest, NumbersKeepSourceText) {
@@ -109,6 +113,41 @@ TEST(JsonvTest, DepthCapStopsRunawayNesting) {
     deep += "[";
   }
   EXPECT_TRUE(Fails(deep));
+  // The cap is 64 levels below the root: 65 nested arrays parse, 66 do not.
+  EXPECT_FALSE(Fails(std::string(65, '[') + std::string(65, ']')));
+  EXPECT_TRUE(Fails(std::string(66, '[') + std::string(66, ']')));
+}
+
+TEST(JsonvTest, RejectsLeadingZerosPerRfc8259) {
+  EXPECT_TRUE(Fails("01"));
+  EXPECT_TRUE(Fails("-01"));
+  EXPECT_TRUE(Fails("00"));
+  EXPECT_TRUE(Fails("[1,007]"));
+  EXPECT_TRUE(Fails("{\"a\":00.5}"));
+  EXPECT_EQ(MustParse("0").AsInt64(-1), 0);
+  EXPECT_EQ(MustParse("-0").number, "-0");
+  EXPECT_DOUBLE_EQ(MustParse("0.5").AsDouble(), 0.5);
+  EXPECT_DOUBLE_EQ(MustParse("-0.25").AsDouble(), -0.25);
+  EXPECT_DOUBLE_EQ(MustParse("0e3").AsDouble(), 0.0);
+  EXPECT_EQ(MustParse("10").AsInt64(), 10);
+  EXPECT_EQ(MustParse("-100").AsInt64(), -100);
+}
+
+TEST(JsonvTest, RejectsSurrogateEscapesAndBareWords) {
+  EXPECT_TRUE(Fails("\"\\uD800\""));
+  EXPECT_TRUE(Fails("\"\\udfff\""));
+  EXPECT_TRUE(Fails("nan"));
+  EXPECT_TRUE(Fails("Infinity"));
+  EXPECT_TRUE(Fails("+1"));
+  EXPECT_TRUE(Fails(".5"));
+  EXPECT_EQ(MustParse("\"\\uD7FF\"").string_value, "\xed\x9f\xbf");
+}
+
+TEST(JsonvTest, IsValidJsonSharesTheParsersStrictness) {
+  EXPECT_TRUE(IsValidJson("{\"a\":[0,-0,1.5e-3,\"x\"]}"));
+  EXPECT_FALSE(IsValidJson("01"));
+  EXPECT_FALSE(IsValidJson("[1,]"));
+  EXPECT_FALSE(IsValidJson("\"\\uD800\""));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 
 namespace affsched {
@@ -83,6 +84,34 @@ TEST(TopologySpecTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParseTopologySpec("cmp-2x10,bogus-key=1", &spec, &error));
   EXPECT_NE(error.find("unknown topology spec key"), std::string::npos);
   EXPECT_FALSE(ParseTopologySpec("cmp-2x10,notakeyvalue", &spec, &error));
+}
+
+TEST(TopologySpecTest, ValidateBoundsTheRemoteMultiplier) {
+  TopologySpec spec = NumaTopology();
+  spec.remote_multiplier = 1e3;
+  EXPECT_TRUE(spec.Validate(32).empty());
+  // remote=1e20 once overflowed the event clock on cross-node fills.
+  for (double bad : {1000.5, 1e20, std::nan("")}) {
+    spec.remote_multiplier = bad;
+    EXPECT_NE(spec.Validate(32).find("remote"), std::string::npos) << bad;
+  }
+}
+
+TEST(TopologySpecTest, ParseReadsNumbersStrictly) {
+  TopologySpec spec;
+  std::string error;
+  ASSERT_TRUE(ParseTopologySpec("numa-4x8,remote=2.5,llc-kb=512,", &spec, &error)) << error;
+  EXPECT_DOUBLE_EQ(spec.remote_multiplier, 2.5);
+  EXPECT_EQ(spec.llc_kb, 512u);
+  for (const char* bad : {"numa-4x8,llc-kb=4x", "numa-4x8,llc-kb=-1", "numa-4x8,llc-kb=+2",
+                          "numa-4x8,llc-kb=", "numa-4x8,llc-ways=1.5",
+                          "numa-4x8,cores-per-cluster=99999999999999999999",
+                          "numa-4x8,remote=nan", "numa-4x8,llc-factor=inf",
+                          "numa-4x8,remote=1e999", "numa-4x8,remote= 2"}) {
+    error.clear();
+    EXPECT_FALSE(ParseTopologySpec(bad, &spec, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
 }
 
 TEST(TopologySpecTest, ValidateCatchesDegenerateLevels) {

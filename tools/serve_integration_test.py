@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Integration tests for the affsched_served sweep daemon.
 
-Three scenarios, each driving the real daemon binary through the real
+Four scenarios, each driving the real daemon binary through the real
 reference client (tools/affsched_client.py), so the wire protocol, the
 content-addressed cache, and the crash/shard recovery paths are all
 exercised end to end:
@@ -21,6 +21,10 @@ exercised end to end:
   shard         One coordinator (--no-local-execution) plus two --worker
                 processes sharing a spool and cache: every cell must be
                 resolved remotely and the document must still be golden.
+
+  bad-spec      Submit hostile specs (non-finite, trailing-garbage and out-of-
+                range numbers): each must come back as an "error" event, and
+                the daemon must still answer ping and complete a good submit.
 
 Usage:
   tools/serve_integration_test.py --served BIN --mode cache-twice \
@@ -211,7 +215,39 @@ def mode_shard(harness):
           % (summary["remote"], summary["cells"]))
 
 
+BAD_SPECS = [
+    "speed=nan",
+    "procs=4x",
+    "topology=cmp-2x10,llc-factor=nan",
+    "topology=numa-4x8,remote=1e20",
+    "speed=1e-9",
+    "procs=100000",
+]
+
+
+def mode_bad_spec(harness):
+    daemon = harness.start_daemon()
+    for override in BAD_SPECS:
+        spec = "smoke;mixes=1;policies=equi;reps=1;" + override
+        result = harness.client("daemon.sock", "submit", spec, "--quiet", check=False)
+        if result.returncode == 0 or "server error: bad spec:" not in result.stderr:
+            fail("hostile spec %r was not answered with an error event:\n%s%s"
+                 % (spec, result.stdout, result.stderr))
+        if daemon.poll() is not None:
+            fail("daemon died on hostile spec %r: %s" % (spec, daemon.stderr.read().decode()))
+    pong = harness.client("daemon.sock", "ping")
+    if json.loads(pong.stdout).get("event") != "pong":
+        fail("daemon did not answer ping after hostile specs: %s" % pong.stdout)
+    summary = harness.submit("daemon.sock", "good.json", spec="smoke;reps=1")
+    if summary["cells"] == 0:
+        fail("good submit after hostile specs ran no cells: %s" % summary)
+    harness.shutdown("daemon.sock")
+    print("bad-spec: %d hostile specs rejected, daemon still serving (%d cells)"
+          % (len(BAD_SPECS), summary["cells"]))
+
+
 MODES = {
+    "bad-spec": mode_bad_spec,
     "cache-twice": mode_cache_twice,
     "kill-resume": mode_kill_resume,
     "shard": mode_shard,
