@@ -23,7 +23,9 @@
 #define SRC_CACHE_CACHE_MODEL_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 
 #include "src/cache/exact_cache.h"
 
@@ -68,6 +70,12 @@ struct CacheChunkResult {
 // set is ~Poisson(blocks/sets) and at most `ways` can be resident, so the cap
 // is sets x E[min(K, ways)]. Shared by both cache models.
 double ExpectedMaxResident(double capacity_blocks, size_t ways, double blocks);
+
+// Equality of bit patterns, the key test of the models' chunk memos: a hit
+// returns exactly what recomputing from the same input would.
+inline bool SameBits(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+}
 
 class CacheModel {
  public:

@@ -1,23 +1,11 @@
 #include "src/cache/footprint.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstdint>
 
 #include "src/common/check.h"
 
 namespace affsched {
-
-namespace {
-
-// Memo keys compare bit patterns, so a hit returns exactly what recomputing
-// from the same input would.
-bool SameBits(double a, double b) {
-  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
-}
-
-}  // namespace
 
 FootprintCache::FootprintCache(double capacity_blocks, size_t ways)
     : capacity_(capacity_blocks), ways_(ways) {

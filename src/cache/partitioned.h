@@ -24,12 +24,21 @@
 // With one color and all-ones masks the model reduces term-for-term to
 // FootprintCache (pinned by tests/cache/partitioned_test.cc), so the
 // partitioned substrate is a strict generalisation of the flat one.
+//
+// Representation. As in FootprintCache, owners are the engine's dense worker
+// ids, so all per-owner state — resident footprint (0 meaning absent),
+// interference suffered and reservation mask (all colors until reserved) —
+// sits in one table indexed by owner id, plus a list of the resident owners
+// kept in insertion order. A chunk costs O(live owners) with no hashing and
+// no allocation in steady state: the eviction survival factor is computed at
+// most once per distinct shared-color count, and the residency cap and the
+// buildup fraction are memoised on the exact bits of their inputs.
 
 #ifndef SRC_CACHE_PARTITIONED_H_
 #define SRC_CACHE_PARTITIONED_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "src/cache/cache_model.h"
 
@@ -89,23 +98,51 @@ class PartitionedCacheModel final : public CacheModel {
   void Flush() override;
   void EjectFraction(CacheOwner owner, double fraction) override;
   void EjectBlocks(CacheOwner owner, double blocks) override;
+  double Invalidate(CacheOwner owner, double up_to) override;
   void ReplaceOwnerData(CacheOwner owner, double keep_fraction) override;
   void RemoveOwner(CacheOwner owner) override;
 
   // Test hook: force a resident footprint.
   void SetResident(CacheOwner owner, double blocks);
 
+  // Test hook: size of the owner-indexed table (queries and invalidations of
+  // absent owners must not grow it).
+  size_t table_size() const { return owners_.size(); }
+
  private:
+  struct OwnerSlot {
+    double resident;      // 0 means absent
+    double interference;  // survives RemoveOwner, like the running total
+    ColorMask mask;       // FullColorMask(num_colors_) until reserved
+  };
+
+  // The slot of `owner`, growing the table to reach it.
+  OwnerSlot& Slot(CacheOwner owner);
   void SetResidentInternal(CacheOwner owner, double blocks);
+  // ExpectedMaxResident(capacity, ways_, blocks), memoised.
+  double CappedResident(double capacity, double blocks);
 
   double capacity_;
   size_t ways_;
   size_t num_colors_;
+  ColorMask full_mask_;
   double occupied_ = 0.0;
   double interference_evictions_ = 0.0;
-  std::unordered_map<CacheOwner, double> resident_;
-  std::unordered_map<CacheOwner, ColorMask> reserved_;
-  std::unordered_map<CacheOwner, double> interference_on_;
+  std::vector<OwnerSlot> owners_;
+  // Owners with a non-zero footprint, in insertion order.
+  std::vector<CacheOwner> live_;
+
+  // RunChunk memos, keyed on the exact bits of their inputs: consecutive
+  // chunks almost always repeat the reservation, the working set and the
+  // chunk length. The initial values are already a valid entry
+  // (ExpectedMaxResident of -1 blocks is 0, and a non-positive tau touches
+  // the whole working set).
+  double memo_capacity_ = 0.0;
+  double memo_blocks_ = -1.0;
+  double memo_w_eff_ = 0.0;
+  double memo_seconds_ = -1.0;
+  double memo_tau_ = -1.0;
+  double memo_touch_ = 1.0;
 };
 
 }  // namespace affsched

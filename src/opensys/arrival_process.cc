@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -134,11 +135,13 @@ bool Fail(std::string* error, size_t line_no, const std::string& message) {
 
 bool ValidateAndAppend(double t_s, double app, size_t line_no,
                        std::vector<ArrivalPlanEntry>* out, std::string* error) {
-  if (!std::isfinite(t_s) || t_s < 0.0) {
-    return Fail(error, line_no, "arrival time must be a finite non-negative number");
+  // Bounded before the integer casts below, which overflow otherwise.
+  if (!std::isfinite(t_s) || t_s < 0.0 || t_s > kMaxTraceSeconds) {
+    return Fail(error, line_no, "arrival time must be a number in [0, 1e9] seconds");
   }
-  if (!std::isfinite(app) || app < 0.0 || app != std::floor(app)) {
-    return Fail(error, line_no, "app index must be a non-negative integer");
+  if (!std::isfinite(app) || app < 0.0 || app != std::floor(app) ||
+      app > static_cast<double>(UINT32_MAX)) {
+    return Fail(error, line_no, "app index must be an integer in [0, 4294967295]");
   }
   ArrivalPlanEntry entry;
   entry.when = Seconds(t_s);

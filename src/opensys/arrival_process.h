@@ -126,10 +126,15 @@ class TraceArrivalProcess : public ArrivalProcess {
   size_t next_ = 0;
 };
 
+// Latest arrival time a trace may hold: 1e9 s is 1e18 ns, well inside
+// SimTime's int64 range, and some thirty years of simulated time.
+inline constexpr double kMaxTraceSeconds = 1e9;
+
 // Parses an arrival trace in CSV form: one "t_seconds,app_index" pair per
 // line; blank lines and '#' comments skipped; an optional header line is
 // tolerated. Returns false with a line-numbered message in `error` on
-// malformed input (negative time, out-of-order times, bad number).
+// malformed input (negative time, out-of-order times, bad number, a time
+// beyond kMaxTraceSeconds or an app index beyond UINT32_MAX).
 bool ParseArrivalTraceCsv(const std::string& text, std::vector<ArrivalPlanEntry>* out,
                           std::string* error);
 

@@ -142,12 +142,12 @@ bool ParseOpenSweepSpec(const std::string& text, OpenSweepSpec* spec, std::strin
         spec->rhos.push_back(x);
       }
     } else if (key == "count") {
-      if (!ReadUintKey(key, value, 1, kAny, &n, error)) {
+      if (!ReadUintKey(key, value, 1, kMaxJobsPerCell, &n, error)) {
         return false;
       }
       spec->jobs_per_cell = n;
     } else if (key == "reps") {
-      if (!ReadUintKey(key, value, 1, kAny, &n, error)) {
+      if (!ReadUintKey(key, value, 1, kMaxReplications, &n, error)) {
         return false;
       }
       spec->replications = n;

@@ -94,12 +94,16 @@ int RhoPermille(double rho);
 OpenSweepSpec OpenSysSpec();       // 3 policies x 6 rhos x {poisson, onoff}
 OpenSweepSpec OpenSysSmokeSpec();  // 2 policies x 2 rhos x poisson
 
+// Upper bound on count= (arrivals per cell); the opensys preset uses 80.
+inline constexpr uint64_t kMaxJobsPerCell = 100000;
+
 // Parses an open sweep spec string: a preset name ("opensys",
 // "opensys-smoke"), a "key=value;..." list (starting from the opensys grid),
 // or a preset plus overrides. Keys: the shared grid keys of
 // src/runner/grid_spec.h, plus rhos (comma-separated), arrivals
-// (comma-separated kinds), count (arrivals per cell), reps, mpl-cap,
-// max-queue, warmup ("mser" or a fraction) and burst (on/off burst factor).
+// (comma-separated kinds), count (arrivals per cell, at most
+// kMaxJobsPerCell), reps (at most kMaxReplications), mpl-cap, max-queue,
+// warmup ("mser" or a fraction) and burst (on/off burst factor).
 bool ParseOpenSweepSpec(const std::string& text, OpenSweepSpec* spec, std::string* error);
 
 // Deterministic mean job demand in seconds of base-machine work: a fixed

@@ -51,6 +51,10 @@ struct GridSpec {
   std::string deadline_mix = "soft";
 };
 
+// Upper bound on reps= in both grammars: replications multiply the cell
+// count, and the presets use at most 5.
+inline constexpr uint64_t kMaxReplications = 1000;
+
 // Strict readers for one key's value, shared by every grid parser. On
 // failure they set *error to a message naming the key and the bad value.
 bool ReadUintKey(const std::string& key, const std::string& value, uint64_t lo, uint64_t hi,

@@ -1,7 +1,6 @@
 #include "src/runner/sweep.h"
 
 #include <algorithm>
-#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -120,7 +119,6 @@ bool ParseSweepSpec(const std::string& text, SweepSpec* spec, std::string* error
     spec->name = text;  // overrides applied: record full provenance
   }
 
-  constexpr uint64_t kAny = std::numeric_limits<uint64_t>::max();
   for (const auto& [key, value] : parts.overrides) {
     uint64_t n = 0;
     if (key == "mixes") {
@@ -135,9 +133,9 @@ bool ParseSweepSpec(const std::string& text, SweepSpec* spec, std::string* error
       // N fixed, or MIN-MAX adaptive.
       const size_t dash = value.find('-');
       uint64_t hi = 0;
-      if (!ReadUintKey(key, value.substr(0, dash), 1, kAny, &n, error) ||
-          !ReadUintKey(key, dash == std::string::npos ? value : value.substr(dash + 1), n, kAny,
-                       &hi, error)) {
+      if (!ReadUintKey(key, value.substr(0, dash), 1, kMaxReplications, &n, error) ||
+          !ReadUintKey(key, dash == std::string::npos ? value : value.substr(dash + 1), n,
+                       kMaxReplications, &hi, error)) {
         return false;
       }
       spec->replication.min_replications = n;
@@ -155,8 +153,10 @@ bool ParseSweepSpec(const std::string& text, SweepSpec* spec, std::string* error
       if (!ReadDoubleKey(key, value, &ms, error)) {
         return false;
       }
-      if (ms < 0 || ms > 1e6) {
-        *error = "balance-interval must be in [0, 1e6] ms";
+      // 0 turns the ticks off; a shorter non-zero period would flood the
+      // event queue with ticks.
+      if (ms != 0.0 && (ms < 1.0 || ms > 1e6)) {
+        *error = "balance-interval must be 0 (off) or in [1, 1e6] ms";
         return false;
       }
       spec->engine.balance_interval = Milliseconds(ms);

@@ -102,9 +102,10 @@ SweepSpec RtSpec();
 // from the fig5 grid), or a preset followed by overrides
 // ("fig5;reps=2;procs=8"). Keys: the shared grid keys of
 // src/runner/grid_spec.h, plus mixes (comma-separated Table 2 numbers), reps
-// (N fixed or MIN-MAX adaptive), precision, observability (0/1 — schema-v3
-// affinity-efficiency block) and balance-interval (milliseconds between
-// load-balance ticks in [0, 1e6], overriding the policy default).
+// (N fixed or MIN-MAX adaptive, at most kMaxReplications), precision,
+// observability (0/1 — schema-v3 affinity-efficiency block) and
+// balance-interval (milliseconds between load-balance ticks, 0 for none or in
+// [1, 1e6], overriding the policy default).
 // Returns false and sets `error` on malformed input.
 bool ParseSweepSpec(const std::string& text, SweepSpec* spec, std::string* error);
 

@@ -183,6 +183,31 @@ TEST(TraceTest, JsonlRejectsMissingField) {
   EXPECT_NE(error.find("app"), std::string::npos);
 }
 
+// Times and app indices beyond the bounds would overflow the integer casts
+// into SimTime and size_t; both formats reject them with a line number.
+TEST(TraceTest, RejectsTimesAndAppIndicesBeyondBounds) {
+  std::vector<ArrivalPlanEntry> entries;
+  std::string error;
+  EXPECT_FALSE(ParseArrivalTraceCsv("0.5,0\n1e300,0\n", &entries, &error));
+  EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+  EXPECT_FALSE(ParseArrivalTraceCsv("1e20,0\n", &entries, &error));
+  EXPECT_FALSE(ParseArrivalTraceCsv("0.5,1e20\n", &entries, &error));
+  EXPECT_FALSE(ParseArrivalTraceCsv("0.5,1e300\n", &entries, &error));
+  EXPECT_FALSE(ParseArrivalTraceCsv("0.5,4294967296\n", &entries, &error));
+  EXPECT_FALSE(ParseArrivalTraceJsonl("{\"t_s\":1e300,\"app\":0}\n", &entries, &error));
+  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+  EXPECT_FALSE(ParseArrivalTraceJsonl("{\"t_s\":1e20,\"app\":0}\n", &entries, &error));
+  EXPECT_FALSE(ParseArrivalTraceJsonl("{\"t_s\":0.5,\"app\":1e20}\n", &entries, &error));
+  EXPECT_FALSE(ParseArrivalTraceJsonl("{\"t_s\":0.5,\"app\":1e300}\n", &entries, &error));
+
+  // The bounds themselves are accepted.
+  ASSERT_TRUE(ParseArrivalTraceCsv("1e9,4294967295\n", &entries, &error)) << error;
+  EXPECT_EQ(entries[0].when, Seconds(kMaxTraceSeconds));
+  EXPECT_EQ(entries[0].app_index, size_t{4294967295u});
+  ASSERT_TRUE(ParseArrivalTraceJsonl("{\"t_s\":1e9,\"app\":4294967295}\n", &entries, &error))
+      << error;
+}
+
 TEST(TraceTest, TraceProcessReplaysAndExhausts) {
   std::vector<ArrivalPlanEntry> entries = {{0, Seconds(1)}, {1, Seconds(2)}};
   TraceArrivalProcess process(entries);

@@ -81,6 +81,22 @@ TEST(OpenSweepSpecTest, MalformedSpecsRejected) {
   EXPECT_FALSE(ParseOpenSweepSpec("opensys;policies=", &spec, &error));
 }
 
+// Counts that parse as numbers but would make a grid run for ever.
+TEST(OpenSweepSpecTest, RejectsUnboundedCounts) {
+  for (const char* text : {"opensys;reps=1001", "opensys;reps=18446744073709551615",
+                           "opensys;count=100001", "opensys;count=18446744073709551615"}) {
+    OpenSweepSpec spec;
+    std::string error;
+    EXPECT_FALSE(ParseOpenSweepSpec(text, &spec, &error)) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
+  OpenSweepSpec spec;
+  std::string error;
+  ASSERT_TRUE(ParseOpenSweepSpec("opensys;reps=1000;count=100000", &spec, &error)) << error;
+  EXPECT_EQ(spec.replications, kMaxReplications);
+  EXPECT_EQ(spec.jobs_per_cell, kMaxJobsPerCell);
+}
+
 TEST(OpenSweepSpecTest, RejectsHostileNumbersForEverySharedKey) {
   for (const std::string& override_text : HostileGridOverrides()) {
     const std::string text = "opensys-smoke;" + override_text;

@@ -135,12 +135,27 @@ TEST(SweepSpecTest, RejectsInputsTheLaxParserAccepted) {
        {"smoke;policies=equi,", "smoke;mixes=1,", "smoke;mixes=,1", "smoke;reps=3-5-7",
         "smoke;reps= 2", "smoke;seed=-1", "smoke;procs=8.5", "smoke;speed=1e-9",
         "smoke;procs=100000", "smoke;topology=numa-4x8,remote=1e20",
-        "smoke;balance-interval=1e300", "smoke;colors=65"}) {
+        "smoke;balance-interval=1e300", "smoke;colors=65",
+        // Specs that would run for ever: unbounded replications, or
+        // balance ticks (nearly) every nanosecond.
+        "smoke;reps=1001", "smoke;reps=2-1001", "smoke;reps=18446744073709551615",
+        "smoke;balance-interval=0.5", "smoke;balance-interval=1e-9"}) {
     SweepSpec spec;
     std::string error;
     EXPECT_FALSE(ParseSweepSpec(text, &spec, &error)) << text;
     EXPECT_FALSE(error.empty()) << text;
   }
+}
+
+TEST(SweepSpecTest, AcceptsTheBoundsThemselves) {
+  SweepSpec spec;
+  std::string error;
+  ASSERT_TRUE(ParseSweepSpec("smoke;reps=1-1000", &spec, &error)) << error;
+  EXPECT_EQ(spec.replication.max_replications, kMaxReplications);
+  ASSERT_TRUE(ParseSweepSpec("smoke;balance-interval=0", &spec, &error)) << error;
+  EXPECT_EQ(spec.engine.balance_interval, 0);
+  ASSERT_TRUE(ParseSweepSpec("smoke;balance-interval=1", &spec, &error)) << error;
+  EXPECT_EQ(spec.engine.balance_interval, Milliseconds(1));
 }
 
 TEST(SweepSpecTest, NumberRespellingsCanonicalizeIdentically) {
