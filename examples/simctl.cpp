@@ -441,7 +441,7 @@ int main(int argc, char** argv) {
                   "shorthand that overrides --policy with the matching mq-* kind");
   flags.AddDouble("balance-interval", 0.0,
                   "periodic load-balance tick in simulated milliseconds "
-                  "(0 = the policy's own default)");
+                  "(0 = the policy's own default, else 1 to 1e6)");
   flags.AddInt("procs", 16, "number of processors");
   flags.AddInt("seed", 42, "random seed");
   flags.AddDouble("speed", 1.0, "processor speed relative to the Symmetry");
@@ -552,8 +552,8 @@ int main(int argc, char** argv) {
                 flags.GetString("steal").c_str());
     return 1;
   }
-  if (flags.GetDouble("balance-interval") < 0.0) {
-    std::printf("--balance-interval must be >= 0 ms\n");
+  if (!BalanceIntervalMsValid(flags.GetDouble("balance-interval"))) {
+    std::printf("--%s\n", kBalanceIntervalRule);
     return 1;
   }
   if (flags.GetDouble("sample-ms") <= 0.0) {

@@ -4,19 +4,27 @@
 // The scheduling experiments only ever talk to a cache through this
 // interface: run a chunk of useful execution and report reload vs.
 // steady-state misses, query/erode a task's resident footprint, and model
-// thread turnover. Two interchangeable implementations exist:
+// thread turnover. Four interchangeable implementations exist:
 //
 //   * FootprintCache (footprint.h) — the analytic working-set model the
 //     paper-scale experiments run on (closed-form buildup/ejection, O(live
 //     owners) per chunk);
+//   * PartitionedCacheModel (partitioned.h) — the same dynamics on a cache
+//     split into page colors, each owner confined to its reserved colors;
+//   * HierarchicalCacheModel (src/topology/hier_cache.h) — a private
+//     FootprintCache per processor plus a cluster-shared FootprintCache LLC
+//     and a last-node directory, classifying reloads by source;
 //   * ExactCacheModel (exact_model.h) — the exact per-line set-associative
 //     simulation driven by synthetic reference streams, used to validate the
-//     analytic model end-to-end on the same machine plumbing.
+//     analytic models end-to-end on the same machine plumbing.
 //
-// MachineConfig::cache_model selects the implementation per run.
+// The two analytic substrates share one core (FootprintCore, footprint_core.h)
+// for the owner table, the eject family, the capacity squeeze and the chunk
+// memos, and differ only in their decay rule. MachineConfig::cache_model and
+// the topology select the implementation per run.
 //
 // Owners are the engine's worker ids, dense from 1, so implementations may
-// index tables by owner id (FootprintCache does); kNoOwner (0) is never a
+// index tables by owner id (below kMaxCacheOwner); kNoOwner (0) is never a
 // running owner.
 
 #ifndef SRC_CACHE_CACHE_MODEL_H_
@@ -30,6 +38,10 @@
 #include "src/cache/exact_cache.h"
 
 namespace affsched {
+
+// Owner-indexed tables check ids against this bound, so a stray id fails a
+// check instead of growing a table to gigabytes.
+inline constexpr CacheOwner kMaxCacheOwner = CacheOwner{1} << 22;
 
 // Cache-behaviour parameters of one task (one worker of an application).
 struct WorkingSetParams {

@@ -25,22 +25,19 @@
 // FootprintCache (pinned by tests/cache/partitioned_test.cc), so the
 // partitioned substrate is a strict generalisation of the flat one.
 //
-// Representation. As in FootprintCache, owners are the engine's dense worker
-// ids, so all per-owner state — resident footprint (0 meaning absent),
-// interference suffered and reservation mask (all colors until reserved) —
-// sits in one table indexed by owner id, plus a list of the resident owners
-// kept in insertion order. A chunk costs O(live owners) with no hashing and
-// no allocation in steady state: the eviction survival factor is computed at
-// most once per distinct shared-color count, and the residency cap and the
-// buildup fraction are memoised on the exact bits of their inputs.
+// Representation. The owner table, the eject family, the capacity squeeze
+// and the chunk memos are FootprintCore's (footprint_core.h). A slot is one
+// 24-byte record — resident footprint, interference suffered and reservation
+// mask (all colors until reserved) — and this model adds the colored decay
+// rule above: the eviction survival factor is computed at most once per
+// distinct shared-color count per chunk.
 
 #ifndef SRC_CACHE_PARTITIONED_H_
 #define SRC_CACHE_PARTITIONED_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "src/cache/cache_model.h"
+#include "src/cache/footprint_core.h"
 
 namespace affsched {
 
@@ -54,7 +51,15 @@ constexpr ColorMask FullColorMask(size_t num_colors) {
   return num_colors >= 64 ? kAllColors : ((1ull << num_colors) - 1);
 }
 
-class PartitionedCacheModel final : public CacheModel {
+// One owner's state: footprint, interference suffered (survives RemoveOwner,
+// like the running total) and reservation mask.
+struct ColorSlot {
+  double resident;  // 0 means absent
+  double interference;
+  ColorMask mask;  // FullColorMask(num_colors) until reserved
+};
+
+class PartitionedCacheModel final : public FootprintCore<ColorSlot> {
  public:
   PartitionedCacheModel(double capacity_blocks, size_t ways, size_t num_colors);
 
@@ -65,12 +70,12 @@ class PartitionedCacheModel final : public CacheModel {
   // which makes the substrate behave like a (coarser-grained) FootprintCache.
   void ReserveColors(CacheOwner owner, ColorMask mask);
 
-  ColorMask ReservedColors(CacheOwner owner) const;
+  ColorMask ReservedColors(CacheOwner owner) const { return SlotOf(owner).mask; }
 
   size_t num_colors() const { return num_colors_; }
 
   // Capacity of one color slice, in blocks.
-  double ColorCapacity() const { return capacity_ / static_cast<double>(num_colors_); }
+  double ColorCapacity() const { return capacity() / static_cast<double>(num_colors_); }
 
   // Capacity of a reservation, in blocks.
   double ReservedCapacity(ColorMask mask) const;
@@ -83,66 +88,19 @@ class PartitionedCacheModel final : public CacheModel {
   double interference_evictions() const { return interference_evictions_; }
 
   // Interference evictions suffered by one owner.
-  double InterferenceOn(CacheOwner owner) const;
+  double InterferenceOn(CacheOwner owner) const { return SlotOf(owner).interference; }
 
   // --- CacheModel -----------------------------------------------------------
 
   CacheChunkResult RunChunk(CacheOwner owner, const WorkingSetParams& ws,
                             double seconds) override;
-  double Resident(CacheOwner owner) const override;
-  double Occupied() const override { return occupied_; }
-  double capacity() const override { return capacity_; }
-  // Full-cache residency cap (reservation-independent), so policy-side reload
-  // scoring is comparable across owners with different reservations.
-  double MaxResident(double blocks) const override;
-  void Flush() override;
-  void EjectFraction(CacheOwner owner, double fraction) override;
-  void EjectBlocks(CacheOwner owner, double blocks) override;
-  double Invalidate(CacheOwner owner, double up_to) override;
-  void ReplaceOwnerData(CacheOwner owner, double keep_fraction) override;
+  // Also resets the owner's reservation to all colors.
   void RemoveOwner(CacheOwner owner) override;
 
-  // Test hook: force a resident footprint.
-  void SetResident(CacheOwner owner, double blocks);
-
-  // Test hook: size of the owner-indexed table (queries and invalidations of
-  // absent owners must not grow it).
-  size_t table_size() const { return owners_.size(); }
-
  private:
-  struct OwnerSlot {
-    double resident;      // 0 means absent
-    double interference;  // survives RemoveOwner, like the running total
-    ColorMask mask;       // FullColorMask(num_colors_) until reserved
-  };
-
-  // The slot of `owner`, growing the table to reach it.
-  OwnerSlot& Slot(CacheOwner owner);
-  void SetResidentInternal(CacheOwner owner, double blocks);
-  // ExpectedMaxResident(capacity, ways_, blocks), memoised.
-  double CappedResident(double capacity, double blocks);
-
-  double capacity_;
-  size_t ways_;
   size_t num_colors_;
   ColorMask full_mask_;
-  double occupied_ = 0.0;
   double interference_evictions_ = 0.0;
-  std::vector<OwnerSlot> owners_;
-  // Owners with a non-zero footprint, in insertion order.
-  std::vector<CacheOwner> live_;
-
-  // RunChunk memos, keyed on the exact bits of their inputs: consecutive
-  // chunks almost always repeat the reservation, the working set and the
-  // chunk length. The initial values are already a valid entry
-  // (ExpectedMaxResident of -1 blocks is 0, and a non-positive tau touches
-  // the whole working set).
-  double memo_capacity_ = 0.0;
-  double memo_blocks_ = -1.0;
-  double memo_w_eff_ = 0.0;
-  double memo_seconds_ = -1.0;
-  double memo_tau_ = -1.0;
-  double memo_touch_ = 1.0;
 };
 
 }  // namespace affsched

@@ -53,6 +53,16 @@ struct EngineOptions {
   SimDuration balance_interval = 0;
 };
 
+// The balance-interval rule of every entry point that accepts one (the
+// spec key, simctl's flag, a spool task): 0 turns the ticks off, and a
+// non-zero period must be in [1, 1e6] ms. A shorter period floods the event
+// queue with ticks; the upper bound keeps Milliseconds() in range.
+inline constexpr const char* kBalanceIntervalRule =
+    "balance-interval must be 0 (off) or in [1, 1e6] ms";
+constexpr bool BalanceIntervalMsValid(double ms) {
+  return ms == 0.0 || (ms >= 1.0 && ms <= 1e6);
+}
+
 struct ProcState {
   JobId holder = kInvalidJobId;
   // Worker executing a chunk here (kNoOwner if none).

@@ -153,10 +153,8 @@ bool ParseSweepSpec(const std::string& text, SweepSpec* spec, std::string* error
       if (!ReadDoubleKey(key, value, &ms, error)) {
         return false;
       }
-      // 0 turns the ticks off; a shorter non-zero period would flood the
-      // event queue with ticks.
-      if (ms != 0.0 && (ms < 1.0 || ms > 1e6)) {
-        *error = "balance-interval must be 0 (off) or in [1, 1e6] ms";
+      if (!BalanceIntervalMsValid(ms)) {
+        *error = kBalanceIntervalRule;
         return false;
       }
       spec->engine.balance_interval = Milliseconds(ms);

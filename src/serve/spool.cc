@@ -6,11 +6,13 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <system_error>
 #include <thread>
 
 #include "src/apps/apps.h"
+#include "src/common/flags.h"
 #include "src/measure/mixes.h"
 #include "src/runner/cell_seed.h"
 #include "src/telemetry/json.h"
@@ -94,16 +96,26 @@ bool Spool::DecodeTask(const std::string& text, SpoolTask* task) {
       !balance->IsNumber()) {
     return false;
   }
+  // Integers are read strictly, the whole token in range for the field: a
+  // mix of 4294967297 does not wrap to 1, and a rep of 1.5 is not read as 1.
+  int64_t mix_number = 0;
+  uint64_t replication = 0;
+  uint64_t procs_number = 0;
+  if (!ParseInt64(mix->number, &mix_number) || mix_number < std::numeric_limits<int>::min() ||
+      mix_number > std::numeric_limits<int>::max() ||
+      !ParseUint64(rep->number, &replication) || !ParseUint64(seed->number, &task->seed) ||
+      !ParseUint64(procs->number, &procs_number) ||
+      !ParseInt64(balance->number, &task->balance_ns)) {
+    return false;
+  }
   task->key = key->string_value;
   task->policy = policy->string_value;
-  task->mix = static_cast<int>(mix->AsInt64());
-  task->replication = static_cast<std::size_t>(rep->AsUint64());
-  task->seed = seed->AsUint64();
-  task->procs = static_cast<std::size_t>(procs->AsUint64());
+  task->mix = static_cast<int>(mix_number);
+  task->replication = static_cast<std::size_t>(replication);
+  task->procs = static_cast<std::size_t>(procs_number);
   task->speed = speed->AsDouble();
   task->cache = cache->AsDouble();
   task->topology = topology->string_value;
-  task->balance_ns = balance->AsInt64();
   return true;
 }
 
@@ -145,6 +157,10 @@ bool Spool::TaskInputs(const SpoolTask& task, MachineConfig* machine, EngineOpti
   const std::string machine_problem = machine->Validate();
   if (!machine_problem.empty()) {
     *error = machine_problem;
+    return false;
+  }
+  if (!BalanceIntervalMsValid(ToMilliseconds(task.balance_ns))) {
+    *error = std::string(kBalanceIntervalRule) + " in spool task";
     return false;
   }
   *engine = EngineOptions();

@@ -29,7 +29,7 @@ size_t TopologyCacheState::LastNode(CacheOwner owner) const {
 }
 
 void TopologyCacheState::SetLastNode(CacheOwner owner, size_t node) {
-  AFF_CHECK(owner < FootprintCache::kMaxOwner);
+  AFF_CHECK(owner < kMaxCacheOwner);
   if (owner >= last_node_.size()) {
     last_node_.resize(owner + 1, kNoNode);
   }

@@ -5,8 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/cache/exact_model.h"
 #include "src/cache/footprint.h"
@@ -95,23 +98,35 @@ TEST_P(InvalidateContractTest, AbsentOwnerIsANoOp) {
   const double resident2 = s.model->Resident(2);
   auto* footprint = dynamic_cast<FootprintCache*>(s.model.get());
   auto* hier = dynamic_cast<HierarchicalCacheModel*>(s.model.get());
-  const size_t table = footprint != nullptr ? footprint->table_size()
-                       : hier != nullptr    ? hier->l1().table_size()
-                                            : 0;
+  auto* partitioned = dynamic_cast<PartitionedCacheModel*>(s.model.get());
+  const auto table_size = [&] {
+    return footprint != nullptr     ? footprint->table_size()
+           : hier != nullptr        ? hier->l1().table_size()
+           : partitioned != nullptr ? partitioned->table_size()
+                                    : size_t{0};
+  };
+  const size_t table = table_size();
   const size_t llc_table = s.llc() != nullptr ? s.llc()->table_size() : 0;
 
-  for (const CacheOwner absent : {CacheOwner{3}, CacheOwner{999}}) {
-    EXPECT_EQ(s.model->Invalidate(absent, 50.0), 0.0);
-    EXPECT_EQ(s.model->Resident(absent), 0.0);
-  }
-  EXPECT_EQ(s.model->Occupied(), occupied);
-  EXPECT_EQ(s.model->Resident(2), resident2);
-  if (footprint != nullptr) {
-    EXPECT_EQ(footprint->table_size(), table);
-  }
-  if (hier != nullptr) {
-    EXPECT_EQ(hier->l1().table_size(), table);
-    EXPECT_EQ(s.llc()->table_size(), llc_table);
+  // Every member of the eject family treats an absent owner as a no-op.
+  const std::vector<std::pair<std::string, std::function<void(CacheOwner)>>> ops = {
+      {"Invalidate", [&](CacheOwner o) { EXPECT_EQ(s.model->Invalidate(o, 50.0), 0.0); }},
+      {"EjectFraction", [&](CacheOwner o) { s.model->EjectFraction(o, 0.5); }},
+      {"EjectBlocks", [&](CacheOwner o) { s.model->EjectBlocks(o, 50.0); }},
+      {"ReplaceOwnerData", [&](CacheOwner o) { s.model->ReplaceOwnerData(o, 0.25); }},
+      {"RemoveOwner", [&](CacheOwner o) { s.model->RemoveOwner(o); }},
+  };
+  for (const auto& [name, op] : ops) {
+    for (const CacheOwner absent : {CacheOwner{3}, CacheOwner{999}}) {
+      op(absent);
+      EXPECT_EQ(s.model->Resident(absent), 0.0) << name << " owner " << absent;
+    }
+    EXPECT_EQ(s.model->Occupied(), occupied) << name;
+    EXPECT_EQ(s.model->Resident(2), resident2) << name;
+    EXPECT_EQ(table_size(), table) << name;
+    if (s.llc() != nullptr) {
+      EXPECT_EQ(s.llc()->table_size(), llc_table) << name;
+    }
   }
 }
 

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/apps/apps.h"
@@ -274,6 +277,80 @@ TEST(SweepServiceTest, SpoolClaimsAreExactlyOnce) {
   EXPECT_FALSE(spool.StopRequested());
   EXPECT_TRUE(spool.RequestStop());
   EXPECT_TRUE(spool.StopRequested());
+}
+
+TEST(SweepServiceTest, ClaimNextDropsAnUndecodableTaskAndClaimsTheNext) {
+  const std::string dir = FreshDir("spool-corrupt");
+  Spool spool(dir);
+  ASSERT_TRUE(spool.ok()) << spool.error();
+  SweepSpec spec;
+  std::string error;
+  ASSERT_TRUE(ParseSweepSpec("smoke;mixes=1;policies=equi;reps=2", &spec, &error));
+
+  // A corrupt entry, older than the good one so it is claimed first.
+  const fs::path corrupt = fs::path(dir) / "todo" / "bbbb.task";
+  {
+    std::ofstream out(corrupt);
+    out << "not json {";
+  }
+  fs::last_write_time(corrupt, fs::file_time_type::clock::now() - std::chrono::hours(1));
+  ASSERT_TRUE(spool.Offer(Spool::MakeTask("aaaa", spec, PolicyKind::kEquipartition, 1, 0, 42)));
+  EXPECT_EQ(spool.PendingCount(), 2u);
+
+  SpoolTask claimed;
+  ASSERT_TRUE(spool.ClaimNext(&claimed));
+  EXPECT_EQ(claimed.key, "aaaa");
+  EXPECT_EQ(spool.PendingCount(), 0u);
+  // The corrupt claim was dropped, not left behind as a lease.
+  size_t claims = 0;
+  for (const auto& item : fs::directory_iterator(fs::path(dir) / "claimed")) {
+    EXPECT_EQ(item.path().stem().string(), "aaaa");
+    ++claims;
+  }
+  EXPECT_EQ(claims, 1u);
+}
+
+TEST(SweepServiceTest, SpoolTaskDecodingIsStrict) {
+  SweepSpec spec;
+  std::string error;
+  ASSERT_TRUE(ParseSweepSpec("smoke;mixes=1;policies=equi;reps=2", &spec, &error));
+  const std::string good =
+      Spool::EncodeTask(Spool::MakeTask("aaaa", spec, PolicyKind::kEquipartition, 1, 3, 42));
+  SpoolTask task;
+  ASSERT_TRUE(Spool::DecodeTask(good, &task)) << good;
+  EXPECT_EQ(task.mix, 1);
+  EXPECT_EQ(task.replication, 3u);
+
+  const auto with = [&good](const std::string& from, const std::string& to) {
+    const size_t at = good.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    std::string text = good;
+    return text.replace(at, from.size(), to);
+  };
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {"\"mix\":1", "\"mix\":4294967297"},
+           {"\"mix\":1", "\"mix\":1.0"},
+           {"\"rep\":3", "\"rep\":1.5"},
+           {"\"rep\":3", "\"rep\":-3"},
+           {"\"seed\":42", "\"seed\":18446744073709551616"},
+           {"\"procs\":", "\"procs\":1e3,\"x\":"},
+           {"\"balance_ns\":", "\"balance_ns\":1e300,\"x\":"},
+       }) {
+    const std::string text = with(from, to);
+    EXPECT_FALSE(Spool::DecodeTask(text, &task)) << text;
+  }
+
+  // A whole but sub-millisecond balance period decodes, and is refused as a
+  // simulation input like the spec key and simctl's flag refuse it.
+  const std::string fast = with("\"balance_ns\":", "\"balance_ns\":1,\"x\":");
+  ASSERT_TRUE(Spool::DecodeTask(fast, &task)) << fast;
+  EXPECT_EQ(task.balance_ns, 1);
+  MachineConfig machine;
+  EngineOptions engine;
+  PolicyKind policy;
+  std::vector<AppProfile> jobs;
+  EXPECT_FALSE(Spool::TaskInputs(task, &machine, &engine, &policy, &jobs, &error));
+  EXPECT_NE(error.find("balance-interval"), std::string::npos) << error;
 }
 
 TEST(SweepServiceTest, BadCacheDirectoryFailsClosed) {
