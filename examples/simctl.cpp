@@ -7,7 +7,7 @@
 //   ./build/examples/simctl --mix=5 --metrics --chrome-trace=trace.json
 //   ./build/examples/simctl --sweep=smoke --jobs=8 --out=BENCH.json
 //   ./build/examples/simctl --open --preset=opensys --jobs=8 --out=open.json
-//   ./build/examples/simctl --open --rho=0.7,0.9 --arrivals=onoff --mpl-cap=8
+//   ./build/examples/simctl --open --preset='opensys;rhos=0.7,0.9;arrivals=onoff;mpl-cap=8'
 //   ./build/examples/simctl --help
 
 #include <algorithm>
@@ -195,12 +195,8 @@ int RunServerClientMode(const FlagSet& flags) {
     std::printf("--server needs --submit=<spec> (or --server-stats)\n");
     return 1;
   }
-  std::string request = "{\"op\":\"submit\",\"spec\":\"" + JsonEscape(spec_text) + "\"";
-  const size_t jobs = static_cast<size_t>(flags.GetInt("jobs"));
-  if (jobs > 0) {
-    request += ",\"jobs\":" + std::to_string(jobs);
-  }
-  request += "}";
+  const std::string request =
+      "{\"op\":\"submit\",\"spec\":\"" + JsonEscape(spec_text) + "\"}";
   if (!channel.WriteLine(request)) {
     std::printf("simctl: failed to send submit request\n");
     return 1;
@@ -275,23 +271,10 @@ int RunServerClientMode(const FlagSet& flags) {
 
 // Runs an open-system load sweep (--open mode): stochastic arrivals through
 // admission control, latency percentiles per (policy, arrival process, rho)
-// cell. The spec string comes from --preset with --rho/--arrivals/--mpl-cap/
-// --max-queue folded in as overrides.
+// cell. The spec string comes from --preset; its rhos=, arrivals=, mpl-cap=
+// and max-queue= keys override the grid.
 int RunOpenMode(const FlagSet& flags, int argc, char** argv) {
-  std::string spec_text = flags.GetString("preset");
-  if (!flags.GetString("rho").empty()) {
-    spec_text += ";rhos=" + flags.GetString("rho");
-  }
-  if (!flags.GetString("arrivals").empty()) {
-    spec_text += ";arrivals=" + flags.GetString("arrivals");
-  }
-  if (flags.GetInt("mpl-cap") > 0) {
-    spec_text += ";mpl-cap=" + std::to_string(flags.GetInt("mpl-cap"));
-  }
-  if (flags.GetInt("max-queue") >= 0) {
-    spec_text += ";max-queue=" + std::to_string(flags.GetInt("max-queue"));
-  }
-  spec_text = AppendRtOverrides(spec_text, flags);
+  const std::string spec_text = AppendRtOverrides(flags.GetString("preset"), flags);
 
   OpenSweepSpec spec;
   std::string error;
@@ -417,8 +400,8 @@ void ListPresets() {
     open_table.AddRow({spec.name, std::to_string(spec.root_seed), policies, arrivals, rhos,
                        std::to_string(spec.Cells())});
   }
-  std::printf("\n%s\nRun one with --open --preset=<name>; --rho/--arrivals/--mpl-cap/"
-              "--max-queue override the grid.\n",
+  std::printf("\n%s\nRun one with --open --preset=<name>; append ;key=value overrides "
+              "(e.g. --preset=\"opensys;rhos=0.7,0.9;mpl-cap=6\").\n",
               open_table.Render().c_str());
 }
 
@@ -493,12 +476,6 @@ int main(int argc, char** argv) {
   flags.AddString("preset", "opensys",
                   "open sweep spec: a preset (opensys, opensys-smoke) or "
                   "key=value spec; used with --open");
-  flags.AddString("rho", "", "offered loads for --open (comma-separated, e.g. 0.7,0.9)");
-  flags.AddString("arrivals", "",
-                  "arrival processes for --open (comma-separated: poisson, onoff)");
-  flags.AddInt("mpl-cap", 0, "admission MPL cap for --open (0 = unbounded)");
-  flags.AddInt("max-queue", -1,
-               "admission queue bound for --open (-1 = unbounded; needs --mpl-cap)");
   flags.AddBool("rt", false,
                 "real-time mode: stamp the --deadline-mix onto every job and "
                 "report deadline misses/tardiness; composes with --sweep and "

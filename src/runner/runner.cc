@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/rt/deadline_mix.h"
 #include "src/runner/cell_seed.h"
 #include "src/runner/worker_pool.h"
 
@@ -54,14 +53,7 @@ SweepResult SweepRunner::Run(const SweepSpec& spec) const {
   std::vector<std::vector<AppProfile>> mix_jobs;
   mix_jobs.reserve(spec.mixes.size());
   for (const WorkloadMix& mix : spec.mixes) {
-    mix_jobs.push_back(mix.Expand(spec.apps));
-    AFF_CHECK_MSG(!mix_jobs.back().empty(), "mix expands to zero jobs");
-    if (spec.rt) {
-      std::string mix_error;
-      AFF_CHECK_MSG(ApplyDeadlineMix(spec.deadline_mix, spec.machine.num_processors,
-                                     &mix_jobs.back(), &mix_error),
-                    mix_error.c_str());
-    }
+    mix_jobs.push_back(MixJobs(spec, mix));
   }
 
   // Mix-major, then policy — the order experiments appear in the result.

@@ -1,6 +1,8 @@
 #include "src/runner/sweep.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -8,6 +10,7 @@
 #include "src/common/check.h"
 #include "src/common/flags.h"
 #include "src/common/time.h"
+#include "src/rt/deadline_mix.h"
 #include "src/runner/cell_seed.h"
 #include "src/telemetry/json.h"
 
@@ -163,6 +166,41 @@ bool ParseSweepSpec(const std::string& text, SweepSpec* spec, std::string* error
     }
   }
   return CheckGrid(*spec, error);
+}
+
+std::string CellSpecText(const SweepSpec& spec) {
+  // Milliseconds() truncates, so when the nearest double to the period in
+  // ms would read back a nanosecond short, render the next double up.
+  double balance_ms = ToMilliseconds(spec.engine.balance_interval);
+  if (Milliseconds(balance_ms) != spec.engine.balance_interval) {
+    balance_ms = std::nextafter(balance_ms, std::numeric_limits<double>::infinity());
+  }
+  const MachineConfig& machine = spec.machine;
+  std::string text =
+      "procs=" + std::to_string(machine.num_processors) +
+      ";speed=" + JsonNumber(machine.processor_speed) +
+      ";cache=" + JsonNumber(machine.cache_size_factor) +
+      ";topology=" + machine.topology.ToSpecString() + ";balance-interval=" +
+      JsonNumber(balance_ms) + ";colors=" +
+      std::to_string(machine.cache_model == CacheModelKind::kPartitioned ? machine.num_colors
+                                                                         : 0) +
+      ";rt=" + (spec.rt ? "1" : "0");
+  if (spec.rt) {
+    text += ";deadline-mix=" + spec.deadline_mix;
+  }
+  return text;
+}
+
+std::vector<AppProfile> MixJobs(const SweepSpec& spec, const WorkloadMix& mix) {
+  std::vector<AppProfile> jobs = mix.Expand(spec.apps);
+  AFF_CHECK_MSG(!jobs.empty(), "mix expands to zero jobs");
+  if (spec.rt) {
+    std::string error;
+    AFF_CHECK_MSG(
+        ApplyDeadlineMix(spec.deadline_mix, spec.machine.num_processors, &jobs, &error),
+        error.c_str());
+  }
+  return jobs;
 }
 
 const ExperimentResult* SweepResult::Find(PolicyKind policy, int mix_number) const {

@@ -109,6 +109,17 @@ SweepSpec RtSpec();
 // Returns false and sets `error` on malformed input.
 bool ParseSweepSpec(const std::string& text, SweepSpec* spec, std::string* error);
 
+// The spec fields that shape one cell's simulation, in the grammar
+// ParseSweepSpec reads: procs, speed, cache, topology, balance-interval,
+// colors, rt and (with rt) deadline-mix. Parsing the text gives back the
+// same MachineConfig and EngineOptions, so it is both the identity the serve
+// cache keys hash and the description a shard worker runs from.
+std::string CellSpecText(const SweepSpec& spec);
+
+// One mix's job list: the mix expanded over spec.apps, with the deadline mix
+// stamped on when spec.rt is set. Every cell of that mix runs this list.
+std::vector<AppProfile> MixJobs(const SweepSpec& spec, const WorkloadMix& mix);
+
 // One executed cell: a whole simulation at a derived seed.
 struct CellResult {
   size_t replication = 0;

@@ -5,10 +5,13 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <system_error>
+#include <variant>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/runner/cell_seed.h"
 #include "src/telemetry/json.h"
 
@@ -29,102 +32,76 @@ bool ReadFileText(const fs::path& path, std::string* out) {
   return in.good() || in.eof();
 }
 
-// JobStats fields in a fixed order. Every field the sweep JSON derives from
-// must round-trip exactly, or a resumed sweep's document would drift from
-// the uninterrupted one.
-void AppendStats(const JobStats& stats, std::ostringstream& o) {
-  o << "{\"arrival\":" << stats.arrival << ",\"completion\":" << stats.completion
-    << ",\"queue_wait_s\":" << ExactDouble(stats.queue_wait_s)
-    << ",\"useful_work_s\":" << ExactDouble(stats.useful_work_s)
-    << ",\"reload_stall_s\":" << ExactDouble(stats.reload_stall_s)
-    << ",\"steady_stall_s\":" << ExactDouble(stats.steady_stall_s)
-    << ",\"switch_s\":" << ExactDouble(stats.switch_s)
-    << ",\"waste_s\":" << ExactDouble(stats.waste_s)
-    << ",\"alloc_integral_s\":" << ExactDouble(stats.alloc_integral_s)
-    << ",\"reallocations\":" << stats.reallocations
-    << ",\"affinity_dispatches\":" << stats.affinity_dispatches
-    << ",\"mig_core\":" << stats.migrations_same_core
-    << ",\"mig_cluster\":" << stats.migrations_same_cluster
-    << ",\"mig_node\":" << stats.migrations_same_node
-    << ",\"mig_cross\":" << stats.migrations_cross_node
-    << ",\"reload_llc_s\":" << ExactDouble(stats.reload_llc_s)
-    << ",\"reload_remote_s\":" << ExactDouble(stats.reload_remote_s)
-    << ",\"steal_cluster\":" << stats.steals_same_cluster
-    << ",\"steal_node\":" << stats.steals_same_node
-    << ",\"steal_cross\":" << stats.steals_cross_node
-    << ",\"balance_migrations\":" << stats.balance_migrations
-    << ",\"deadline_misses\":" << stats.deadline_misses
-    << ",\"tardiness_s\":" << ExactDouble(stats.tardiness_s)
-    << ",\"worst_reload_s\":" << ExactDouble(stats.worst_reload_s) << "}";
-}
-
-// Reads one required numeric member; false when absent or non-numeric.
-bool GetNum(const JsonValue& obj, const char* key, const JsonValue** out) {
-  const JsonValue* v = obj.Get(key);
+// Strict number readers: integers must be one whole token in range, so a
+// mix of 4294967297 does not wrap to 1 and a rep of 1.5 is not read as 1.
+bool ReadNumber(const JsonValue* v, double* out) {
   if (v == nullptr || !v->IsNumber()) {
     return false;
   }
-  *out = v;
+  *out = v->AsDouble();
   return true;
 }
 
-bool DecodeStats(const JsonValue& obj, JobStats* stats) {
-  if (!obj.IsObject()) {
-    return false;
+bool ReadNumber(const JsonValue* v, uint64_t* out) {
+  return v != nullptr && v->IsNumber() && ParseUint64(v->number, out);
+}
+
+bool ReadNumber(const JsonValue* v, int64_t* out) {
+  return v != nullptr && v->IsNumber() && ParseInt64(v->number, out);
+}
+
+// Doubles go through ExactDouble so a resumed sweep's document cannot drift
+// from the uninterrupted one.
+void WriteNumber(std::ostream& o, double v) { o << ExactDouble(v); }
+
+template <typename Int>
+void WriteNumber(std::ostream& o, Int v) {
+  o << v;
+}
+
+// Every field of kJobStatsFields, in table order.
+void AppendStats(const JobStats& stats, std::ostringstream& o) {
+  char sep = '{';
+  for (const JobStatsField& field : kJobStatsFields) {
+    o << sep << '"' << field.name << "\":";
+    std::visit([&](auto member) { WriteNumber(o, stats.*member); }, field.member);
+    sep = ',';
   }
-  const JsonValue* v = nullptr;
-  if (!GetNum(obj, "arrival", &v)) return false;
-  stats->arrival = v->AsInt64();
-  if (!GetNum(obj, "completion", &v)) return false;
-  stats->completion = v->AsInt64();
-  if (!GetNum(obj, "queue_wait_s", &v)) return false;
-  stats->queue_wait_s = v->AsDouble();
-  if (!GetNum(obj, "useful_work_s", &v)) return false;
-  stats->useful_work_s = v->AsDouble();
-  if (!GetNum(obj, "reload_stall_s", &v)) return false;
-  stats->reload_stall_s = v->AsDouble();
-  if (!GetNum(obj, "steady_stall_s", &v)) return false;
-  stats->steady_stall_s = v->AsDouble();
-  if (!GetNum(obj, "switch_s", &v)) return false;
-  stats->switch_s = v->AsDouble();
-  if (!GetNum(obj, "waste_s", &v)) return false;
-  stats->waste_s = v->AsDouble();
-  if (!GetNum(obj, "alloc_integral_s", &v)) return false;
-  stats->alloc_integral_s = v->AsDouble();
-  if (!GetNum(obj, "reallocations", &v)) return false;
-  stats->reallocations = v->AsUint64();
-  if (!GetNum(obj, "affinity_dispatches", &v)) return false;
-  stats->affinity_dispatches = v->AsUint64();
-  if (!GetNum(obj, "mig_core", &v)) return false;
-  stats->migrations_same_core = v->AsUint64();
-  if (!GetNum(obj, "mig_cluster", &v)) return false;
-  stats->migrations_same_cluster = v->AsUint64();
-  if (!GetNum(obj, "mig_node", &v)) return false;
-  stats->migrations_same_node = v->AsUint64();
-  if (!GetNum(obj, "mig_cross", &v)) return false;
-  stats->migrations_cross_node = v->AsUint64();
-  if (!GetNum(obj, "reload_llc_s", &v)) return false;
-  stats->reload_llc_s = v->AsDouble();
-  if (!GetNum(obj, "reload_remote_s", &v)) return false;
-  stats->reload_remote_s = v->AsDouble();
-  if (!GetNum(obj, "steal_cluster", &v)) return false;
-  stats->steals_same_cluster = v->AsUint64();
-  if (!GetNum(obj, "steal_node", &v)) return false;
-  stats->steals_same_node = v->AsUint64();
-  if (!GetNum(obj, "steal_cross", &v)) return false;
-  stats->steals_cross_node = v->AsUint64();
-  if (!GetNum(obj, "balance_migrations", &v)) return false;
-  stats->balance_migrations = v->AsUint64();
-  if (!GetNum(obj, "deadline_misses", &v)) return false;
-  stats->deadline_misses = v->AsUint64();
-  if (!GetNum(obj, "tardiness_s", &v)) return false;
-  stats->tardiness_s = v->AsDouble();
-  if (!GetNum(obj, "worst_reload_s", &v)) return false;
-  stats->worst_reload_s = v->AsDouble();
+  o << '}';
+}
+
+bool DecodeStats(const JsonValue& obj, JobStats* stats) {
+  for (const JobStatsField& field : kJobStatsFields) {
+    const JsonValue* v = obj.Get(field.name);
+    if (!std::visit([&](auto member) { return ReadNumber(v, &(stats->*member)); },
+                    field.member)) {
+      return false;
+    }
+  }
   return true;
 }
 
 }  // namespace
+
+std::string CellMetaJson(const CellEntryMeta& meta) {
+  return "\"policy\":\"" + JsonEscape(meta.policy) + "\",\"mix\":" + std::to_string(meta.mix) +
+         ",\"rep\":" + std::to_string(meta.replication) + ",\"seed\":" + SeedToDecimal(meta.seed);
+}
+
+bool DecodeCellMeta(const JsonValue& doc, CellEntryMeta* meta) {
+  const JsonValue* policy = doc.Get("policy");
+  int64_t mix = 0;
+  uint64_t replication = 0;
+  if (policy == nullptr || !policy->IsString() || !ReadNumber(doc.Get("mix"), &mix) ||
+      mix < std::numeric_limits<int>::min() || mix > std::numeric_limits<int>::max() ||
+      !ReadNumber(doc.Get("rep"), &replication) || !ReadNumber(doc.Get("seed"), &meta->seed)) {
+    return false;
+  }
+  meta->policy = policy->string_value;
+  meta->mix = static_cast<int>(mix);
+  meta->replication = static_cast<std::size_t>(replication);
+  return true;
+}
 
 ResultCache::ResultCache(const ResultCacheOptions& options) : options_(options) {
   if (options_.dir.empty()) {
@@ -143,10 +120,8 @@ ResultCache::ResultCache(const ResultCacheOptions& options) : options_(options) 
 std::string ResultCache::EncodeEntry(const std::string& key, const CellEntryMeta& meta,
                                      const RunResult& result) {
   std::ostringstream o;
-  o << "{\"entry_schema\":2,\"key\":\"" << JsonEscape(key) << "\",\"policy\":\""
-    << JsonEscape(meta.policy) << "\",\"mix\":" << meta.mix << ",\"rep\":" << meta.replication
-    << ",\"seed\":" << SeedToDecimal(meta.seed) << ",\"makespan\":" << result.makespan
-    << ",\"events\":" << result.events << ",\"jobs\":[";
+  o << "{\"entry_schema\":2,\"key\":\"" << JsonEscape(key) << "\"," << CellMetaJson(meta)
+    << ",\"makespan\":" << result.makespan << ",\"events\":" << result.events << ",\"jobs\":[";
   for (size_t j = 0; j < result.jobs.size(); ++j) {
     o << (j > 0 ? "," : "") << "{\"app\":\"" << JsonEscape(result.jobs[j].app) << "\",\"stats\":";
     AppendStats(result.jobs[j].stats, o);
@@ -163,21 +138,14 @@ bool ResultCache::DecodeEntry(const std::string& text, RunResult* out, CellEntry
     return false;
   }
   const JsonValue* schema = doc.Get("entry_schema");
-  if (schema == nullptr || schema->AsInt64(-1) != 2) {
-    return false;
-  }
-  const JsonValue* makespan = nullptr;
-  const JsonValue* events = nullptr;
-  if (!GetNum(doc, "makespan", &makespan) || !GetNum(doc, "events", &events)) {
-    return false;
-  }
   const JsonValue* jobs = doc.Get("jobs");
-  if (jobs == nullptr || !jobs->IsArray()) {
+  RunResult result;
+  CellEntryMeta decoded_meta;
+  if (schema == nullptr || schema->number != "2" || !DecodeCellMeta(doc, &decoded_meta) ||
+      !ReadNumber(doc.Get("makespan"), &result.makespan) ||
+      !ReadNumber(doc.Get("events"), &result.events) || jobs == nullptr || !jobs->IsArray()) {
     return false;
   }
-  RunResult result;
-  result.makespan = makespan->AsInt64();
-  result.events = events->AsUint64();
   result.jobs.reserve(jobs->array.size());
   for (const JsonValue& job : jobs->array) {
     const JsonValue* app = job.Get("app");
@@ -193,15 +161,7 @@ bool ResultCache::DecodeEntry(const std::string& text, RunResult* out, CellEntry
     result.jobs.push_back(std::move(decoded));
   }
   if (meta != nullptr) {
-    static const std::string kEmpty;
-    const JsonValue* policy = doc.Get("policy");
-    meta->policy = policy != nullptr ? policy->AsString(kEmpty) : kEmpty;
-    const JsonValue* mix = doc.Get("mix");
-    meta->mix = mix != nullptr ? static_cast<int>(mix->AsInt64()) : 0;
-    const JsonValue* rep = doc.Get("rep");
-    meta->replication = rep != nullptr ? static_cast<std::size_t>(rep->AsUint64()) : 0;
-    const JsonValue* seed = doc.Get("seed");
-    meta->seed = seed != nullptr ? seed->AsUint64() : 0;
+    *meta = std::move(decoded_meta);
   }
   *out = std::move(result);
   return true;

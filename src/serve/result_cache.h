@@ -53,13 +53,24 @@ struct ResultCacheStats {
 };
 
 // Identity recorded inside an entry, for human inspection and for spool
-// workers reporting what they executed. Not authoritative — the key is.
+// workers reporting what they executed. Not authoritative — the key is. A
+// spool task carries the same members.
 struct CellEntryMeta {
   std::string policy;  // CLI name
   int mix = 0;
   std::size_t replication = 0;
   uint64_t seed = 0;
 };
+
+class JsonValue;
+
+// The meta members as they appear inside an entry or a task object:
+//   "policy":"dyn-aff","mix":5,"rep":2,"seed":123
+std::string CellMetaJson(const CellEntryMeta& meta);
+
+// Reads those members from `doc`, strictly: integers must be whole tokens in
+// range and `mix` must fit an int. False on any missing or malformed member.
+bool DecodeCellMeta(const JsonValue& doc, CellEntryMeta* meta);
 
 class ResultCache {
  public:
@@ -95,7 +106,8 @@ class ResultCache {
   std::string StatsJson() const;
 
   // Entry codec, exposed for tests and the spool worker. Decode is strict:
-  // any parse failure, schema mismatch, or missing field returns false.
+  // any parse failure, schema mismatch, missing field, or integer that is
+  // not a whole in-range token returns false.
   static std::string EncodeEntry(const std::string& key, const CellEntryMeta& meta,
                                  const RunResult& result);
   static bool DecodeEntry(const std::string& text, RunResult* out, CellEntryMeta* meta = nullptr);

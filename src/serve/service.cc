@@ -18,8 +18,8 @@ namespace affsched {
 
 namespace {
 
-std::string KeyFor(const SweepSpec& spec, const SweepCellRef& ref, const std::string& git_rev) {
-  return CellKeyWithRev(spec, ref.policy, ref.mix_number, ref.replication, ref.seed, git_rev);
+CellEntryMeta MetaFor(const SweepCellRef& ref) {
+  return CellEntryMeta{PolicyKindCliName(ref.policy), ref.mix_number, ref.replication, ref.seed};
 }
 
 }  // namespace
@@ -72,12 +72,19 @@ bool SweepService::Submit(const SweepSpec& spec,
   std::mutex remote_mu;
   std::unordered_set<std::string> remote_keys;
 
+  // Rendered once: every cell key of this sweep hashes it, and every shard
+  // task carries it.
+  const std::string cell_spec = CellSpecText(spec);
+  const auto key_for = [&](const SweepCellRef& ref) {
+    return CellKey(cell_spec, ref.policy, ref.mix_number, ref.replication, ref.seed, git_rev_);
+  };
+
   SweepRunnerOptions runner_options;
   runner_options.jobs = options_.jobs;
   runner_options.round_stats = round_stats_;
 
   runner_options.probe_cell = [&](const SweepCellRef& ref, RunResult* out) {
-    const std::string key = KeyFor(spec, ref, git_rev_);
+    const std::string key = key_for(ref);
     if (cache_->Probe(key, out)) {
       ++local.hits;
       counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
@@ -86,8 +93,7 @@ bool SweepService::Submit(const SweepSpec& spec,
     // Miss: when sharded, publish the cell so workers can start on it while
     // this round's other cells are still being probed.
     if (spool_ != nullptr) {
-      spool_->Offer(Spool::MakeTask(key, spec, ref.policy, ref.mix_number, ref.replication,
-                                    ref.seed));
+      spool_->Offer(SpoolTask{key, cell_spec, MetaFor(ref)});
     }
     return false;
   };
@@ -95,7 +101,7 @@ bool SweepService::Submit(const SweepSpec& spec,
   runner_options.run_cell = [&](const SweepCellRef& ref, const MachineConfig& machine,
                                 PolicyKind policy, const std::vector<AppProfile>& jobs,
                                 uint64_t seed, const EngineOptions& engine) {
-    const std::string key = KeyFor(spec, ref, git_rev_);
+    const std::string key = key_for(ref);
     if (spool_ != nullptr) {
       // Claim our own offered task back; losing the race means a worker owns
       // the cell and its result will appear in the shared cache.
@@ -129,19 +135,14 @@ bool SweepService::Submit(const SweepSpec& spec,
   };
 
   runner_options.store_cell = [&](const SweepCellRef& ref, const RunResult& result) {
-    const std::string key = KeyFor(spec, ref, git_rev_);
+    const std::string key = key_for(ref);
     {
       std::lock_guard<std::mutex> lock(remote_mu);
       if (remote_keys.count(key) != 0) {
         return;  // a worker already published this entry
       }
     }
-    CellEntryMeta meta;
-    meta.policy = PolicyKindCliName(ref.policy);
-    meta.mix = ref.mix_number;
-    meta.replication = ref.replication;
-    meta.seed = ref.seed;
-    cache_->Store(key, meta, result);
+    cache_->Store(key, MetaFor(ref), result);
     if (spool_ != nullptr) {
       spool_->FinishKey(key);
     }
@@ -155,7 +156,7 @@ bool SweepService::Submit(const SweepSpec& spec,
     if (from_cache) {
       source = "cache";
     } else {
-      const std::string key = KeyFor(spec, ref, git_rev_);
+      const std::string key = key_for(ref);
       std::lock_guard<std::mutex> lock(remote_mu);
       if (remote_keys.count(key) != 0) {
         source = "remote";

@@ -4,7 +4,6 @@
 
 #include "src/runner/cell_seed.h"
 #include "src/telemetry/json.h"
-#include "src/telemetry/manifest.h"
 
 namespace affsched {
 
@@ -27,27 +26,6 @@ std::string HashHex(uint64_t value) {
   return out;
 }
 
-namespace {
-
-// The machine and engine fields a sweep spec can address (ParseSweepSpec's
-// keys). Everything else in MachineConfig/EngineOptions is a build-time
-// default, covered for cells by the git revision in the key.
-void AppendMachineCanon(const SweepSpec& spec, std::ostringstream& o) {
-  o << "procs=" << spec.machine.num_processors
-    << ";speed=" << JsonNumber(spec.machine.processor_speed)
-    << ";cache=" << JsonNumber(spec.machine.cache_size_factor)
-    << ";topology=" << (spec.machine.topology.IsFlat() ? std::string("flat")
-                                                       : spec.machine.topology.ToSpecString())
-    << ";balance-ns=" << spec.engine.balance_interval
-    // The partitioned substrate and the deadline stamp both change every
-    // cell's simulated stats, so they are part of both key levels.
-    << ";colors="
-    << (spec.machine.cache_model == CacheModelKind::kPartitioned ? spec.machine.num_colors : 0)
-    << ";rt=" << (spec.rt ? 1 : 0) << ";deadline-mix=" << (spec.rt ? spec.deadline_mix : "none");
-}
-
-}  // namespace
-
 std::string CanonicalSpecText(const SweepSpec& spec) {
   std::ostringstream o;
   o << "sweep-v1;policies=";
@@ -61,9 +39,8 @@ std::string CanonicalSpecText(const SweepSpec& spec) {
   o << ";reps=" << spec.replication.min_replications << "-" << spec.replication.max_replications
     << ";precision=" << JsonNumber(spec.replication.relative_precision)
     << ";confidence=" << JsonNumber(spec.replication.confidence)
-    << ";seed=" << SeedToDecimal(spec.root_seed) << ";";
-  AppendMachineCanon(spec, o);
-  o << ";observability=" << (spec.observability ? 1 : 0);
+    << ";seed=" << SeedToDecimal(spec.root_seed) << ";" << CellSpecText(spec)
+    << ";observability=" << (spec.observability ? 1 : 0);
   return o.str();
 }
 
@@ -71,30 +48,25 @@ std::string SweepKey(const SweepSpec& spec) {
   return HashHex(Fnv1a64(CanonicalSpecText(spec)));
 }
 
-std::string CanonicalCellText(const SweepSpec& spec, PolicyKind policy, int mix_number,
+std::string CanonicalCellText(const std::string& cell_spec, PolicyKind policy, int mix_number,
                               std::size_t replication, uint64_t seed,
                               const std::string& git_rev) {
   std::ostringstream o;
-  o << "cell-v" << kCellEntrySchemaVersion << ";git=" << git_rev << ";";
-  AppendMachineCanon(spec, o);
-  o << ";policy=" << PolicyKindCliName(policy) << ";mix=" << mix_number
-    << ";rep=" << replication << ";seed=" << SeedToDecimal(seed);
+  o << "cell-v" << kCellEntrySchemaVersion << ";git=" << git_rev << ";" << cell_spec
+    << ";policy=" << PolicyKindCliName(policy) << ";mix=" << mix_number << ";rep=" << replication
+    << ";seed=" << SeedToDecimal(seed);
   return o.str();
 }
 
-std::string CellKeyWithRev(const SweepSpec& spec, PolicyKind policy, int mix_number,
-                           std::size_t replication, uint64_t seed, const std::string& git_rev) {
-  const std::string text = CanonicalCellText(spec, policy, mix_number, replication, seed, git_rev);
+std::string CellKey(const std::string& cell_spec, PolicyKind policy, int mix_number,
+                    std::size_t replication, uint64_t seed, const std::string& git_rev) {
+  const std::string text =
+      CanonicalCellText(cell_spec, policy, mix_number, replication, seed, git_rev);
   // Two independent digests: the standard FNV-1a basis and a second basis
   // derived by hashing the text length, giving 128 key bits in total.
   const uint64_t lo = Fnv1a64(text);
   const uint64_t hi = Fnv1a64(text, 0x9e3779b97f4a7c15ull ^ (lo + text.size()));
   return HashHex(hi) + HashHex(lo);
-}
-
-std::string CellKey(const SweepSpec& spec, PolicyKind policy, int mix_number,
-                    std::size_t replication, uint64_t seed) {
-  return CellKeyWithRev(spec, policy, mix_number, replication, seed, RunManifest::GitSha());
 }
 
 }  // namespace affsched

@@ -10,6 +10,12 @@
 // round-trippable ToSpecString. Two spec strings that parse to the same grid
 // always canonicalize — and therefore hash — identically.
 //
+// The machine, engine and real-time part of both texts is CellSpecText
+// (src/runner/sweep.h): sweep-spec grammar that ParseSweepSpec reads back to
+// the same MachineConfig and EngineOptions. A shard task carries that same
+// text, so what a worker simulates is what the cell key names. Fields no
+// spec key sets are build-time defaults, which the git revision covers.
+//
 // Two levels of key:
 //
 //   * The sweep key identifies a whole submitted grid (used as the stream id
@@ -37,8 +43,8 @@ namespace affsched {
 
 // Bump when the cache entry encoding changes incompatibly; part of every
 // cell key, so stale-format entries become unreachable instead of corrupt.
-// v2: JobStats gained the real-time fields (deadline_misses, tardiness_s,
-// worst_reload_s), which every entry now round-trips.
+// v2: JobStats gained the real-time fields, which every entry now
+// round-trips.
 inline constexpr int kCellEntrySchemaVersion = 2;
 
 // FNV-1a over `text`, with a caller-chosen basis so two independent 64-bit
@@ -57,19 +63,18 @@ std::string CanonicalSpecText(const SweepSpec& spec);
 std::string SweepKey(const SweepSpec& spec);
 
 // The canonical rendering of one cell's identity (see file comment for what
-// is and is not included). `git_rev` defaults to the built-in commit via
-// RunManifest::GitSha(); tests inject fixed values.
-std::string CanonicalCellText(const SweepSpec& spec, PolicyKind policy, int mix_number,
+// is and is not included). `cell_spec` is CellSpecText(spec), rendered once
+// per sweep; `git_rev` is the simulator build's revision
+// (RunManifest::GitSha() in the service; tests inject fixed values).
+std::string CanonicalCellText(const std::string& cell_spec, PolicyKind policy, int mix_number,
                               std::size_t replication, uint64_t seed,
                               const std::string& git_rev);
 
 // 32-hex-digit content address for one cell (two independent FNV-1a digests
 // of CanonicalCellText), used as the cache file name and the spool task
 // name. Collision probability is negligible at any plausible cache size.
-std::string CellKey(const SweepSpec& spec, PolicyKind policy, int mix_number,
-                    std::size_t replication, uint64_t seed);
-std::string CellKeyWithRev(const SweepSpec& spec, PolicyKind policy, int mix_number,
-                           std::size_t replication, uint64_t seed, const std::string& git_rev);
+std::string CellKey(const std::string& cell_spec, PolicyKind policy, int mix_number,
+                    std::size_t replication, uint64_t seed, const std::string& git_rev);
 
 }  // namespace affsched
 

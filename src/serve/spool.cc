@@ -6,15 +6,11 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <system_error>
 #include <thread>
+#include <vector>
 
-#include "src/apps/apps.h"
-#include "src/common/flags.h"
-#include "src/measure/mixes.h"
-#include "src/runner/cell_seed.h"
 #include "src/telemetry/json.h"
 
 namespace fs = std::filesystem;
@@ -58,14 +54,8 @@ Spool::Spool(const std::string& dir) : dir_(dir) {
 }
 
 std::string Spool::EncodeTask(const SpoolTask& task) {
-  std::ostringstream o;
-  o << "{\"task_schema\":1,\"key\":\"" << JsonEscape(task.key) << "\",\"policy\":\""
-    << JsonEscape(task.policy) << "\",\"mix\":" << task.mix << ",\"rep\":" << task.replication
-    << ",\"seed\":" << SeedToDecimal(task.seed) << ",\"procs\":" << task.procs
-    << ",\"speed\":" << ExactDouble(task.speed) << ",\"cache\":" << ExactDouble(task.cache)
-    << ",\"topology\":\"" << JsonEscape(task.topology) << "\",\"balance_ns\":" << task.balance_ns
-    << "}";
-  return o.str();
+  return "{\"task_schema\":2,\"key\":\"" + JsonEscape(task.key) + "\",\"spec\":\"" +
+         JsonEscape(task.spec) + "\"," + CellMetaJson(task.cell) + "}";
 }
 
 bool Spool::DecodeTask(const std::string& text, SpoolTask* task) {
@@ -75,98 +65,27 @@ bool Spool::DecodeTask(const std::string& text, SpoolTask* task) {
     return false;
   }
   const JsonValue* schema = doc.Get("task_schema");
-  if (schema == nullptr || schema->AsInt64(-1) != 1) {
-    return false;
-  }
   const JsonValue* key = doc.Get("key");
-  const JsonValue* policy = doc.Get("policy");
-  const JsonValue* mix = doc.Get("mix");
-  const JsonValue* rep = doc.Get("rep");
-  const JsonValue* seed = doc.Get("seed");
-  const JsonValue* procs = doc.Get("procs");
-  const JsonValue* speed = doc.Get("speed");
-  const JsonValue* cache = doc.Get("cache");
-  const JsonValue* topology = doc.Get("topology");
-  const JsonValue* balance = doc.Get("balance_ns");
-  if (key == nullptr || !key->IsString() || policy == nullptr || !policy->IsString() ||
-      mix == nullptr || !mix->IsNumber() || rep == nullptr || !rep->IsNumber() ||
-      seed == nullptr || !seed->IsNumber() || procs == nullptr || !procs->IsNumber() ||
-      speed == nullptr || !speed->IsNumber() || cache == nullptr || !cache->IsNumber() ||
-      topology == nullptr || !topology->IsString() || balance == nullptr ||
-      !balance->IsNumber()) {
-    return false;
-  }
-  // Integers are read strictly, the whole token in range for the field: a
-  // mix of 4294967297 does not wrap to 1, and a rep of 1.5 is not read as 1.
-  int64_t mix_number = 0;
-  uint64_t replication = 0;
-  uint64_t procs_number = 0;
-  if (!ParseInt64(mix->number, &mix_number) || mix_number < std::numeric_limits<int>::min() ||
-      mix_number > std::numeric_limits<int>::max() ||
-      !ParseUint64(rep->number, &replication) || !ParseUint64(seed->number, &task->seed) ||
-      !ParseUint64(procs->number, &procs_number) ||
-      !ParseInt64(balance->number, &task->balance_ns)) {
+  const JsonValue* spec = doc.Get("spec");
+  if (schema == nullptr || schema->number != "2" || key == nullptr || !key->IsString() ||
+      spec == nullptr || !spec->IsString() || !DecodeCellMeta(doc, &task->cell)) {
     return false;
   }
   task->key = key->string_value;
-  task->policy = policy->string_value;
-  task->mix = static_cast<int>(mix_number);
-  task->replication = static_cast<std::size_t>(replication);
-  task->procs = static_cast<std::size_t>(procs_number);
-  task->speed = speed->AsDouble();
-  task->cache = cache->AsDouble();
-  task->topology = topology->string_value;
+  task->spec = spec->string_value;
   return true;
 }
 
-SpoolTask Spool::MakeTask(const std::string& key, const SweepSpec& spec, PolicyKind policy,
-                          int mix_number, std::size_t replication, uint64_t seed) {
-  SpoolTask task;
-  task.key = key;
-  task.policy = PolicyKindCliName(policy);
-  task.mix = mix_number;
-  task.replication = replication;
-  task.seed = seed;
-  task.procs = spec.machine.num_processors;
-  task.speed = spec.machine.processor_speed;
-  task.cache = spec.machine.cache_size_factor;
-  task.topology =
-      spec.machine.topology.IsFlat() ? "flat" : spec.machine.topology.ToSpecString();
-  task.balance_ns = spec.engine.balance_interval;
-  return task;
-}
-
-bool Spool::TaskInputs(const SpoolTask& task, MachineConfig* machine, EngineOptions* engine,
-                       PolicyKind* policy, std::vector<AppProfile>* jobs, std::string* error) {
-  if (!PolicyKindFromName(task.policy, policy)) {
-    *error = "unknown policy '" + task.policy + "' in spool task";
+bool Spool::TaskSpec(const SpoolTask& task, SweepSpec* spec, std::string* error) {
+  // The policy and mix join the rest of the cell in one strict grammar; a
+  // separator in the policy field would smuggle in more than one name.
+  if (task.cell.policy.find_first_of(";,") != std::string::npos) {
+    *error = "spool task policy '" + task.cell.policy + "' is not one policy name";
     return false;
   }
-  if (task.mix < 1 || task.mix > 6) {
-    *error = "mix number " + std::to_string(task.mix) + " out of range in spool task";
-    return false;
-  }
-  *machine = MachineConfig();
-  machine->num_processors = task.procs;
-  machine->processor_speed = task.speed;
-  machine->cache_size_factor = task.cache;
-  if (task.topology != "flat" &&
-      !ParseTopologySpec(task.topology, &machine->topology, error)) {
-    return false;
-  }
-  const std::string machine_problem = machine->Validate();
-  if (!machine_problem.empty()) {
-    *error = machine_problem;
-    return false;
-  }
-  if (!BalanceIntervalMsValid(ToMilliseconds(task.balance_ns))) {
-    *error = std::string(kBalanceIntervalRule) + " in spool task";
-    return false;
-  }
-  *engine = EngineOptions();
-  engine->balance_interval = task.balance_ns;
-  *jobs = PaperMixes()[static_cast<std::size_t>(task.mix - 1)].Expand(DefaultProfiles());
-  return true;
+  return ParseSweepSpec(
+      task.spec + ";policies=" + task.cell.policy + ";mixes=" + std::to_string(task.cell.mix),
+      spec, error);
 }
 
 bool Spool::Offer(const SpoolTask& task) {
@@ -311,12 +230,9 @@ std::size_t RunSpoolWorker(Spool* spool, ResultCache* cache, const SpoolWorkerOp
       continue;
     }
     idle_since = std::chrono::steady_clock::now();
-    MachineConfig machine;
-    EngineOptions engine;
-    PolicyKind policy;
-    std::vector<AppProfile> jobs;
+    SweepSpec spec;
     std::string error;
-    if (!Spool::TaskInputs(task, &machine, &engine, &policy, &jobs, &error)) {
+    if (!Spool::TaskSpec(task, &spec, &error)) {
       // Unrunnable task (version skew): abandon the claim; the coordinator's
       // timeout fallback covers the cell.
       spool->FinishKey(task.key);
@@ -325,13 +241,9 @@ std::size_t RunSpoolWorker(Spool* spool, ResultCache* cache, const SpoolWorkerOp
     if (options.cell_delay_s > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(options.cell_delay_s));
     }
-    const RunResult result = RunOnce(machine, policy, jobs, task.seed, engine);
-    CellEntryMeta meta;
-    meta.policy = task.policy;
-    meta.mix = task.mix;
-    meta.replication = task.replication;
-    meta.seed = task.seed;
-    cache->Store(task.key, meta, result);
+    cache->Store(task.key, task.cell,
+                 RunOnce(spec.machine, spec.policies.front(), MixJobs(spec, spec.mixes.front()),
+                         task.cell.seed, spec.engine));
     spool->FinishKey(task.key);
     ++executed;
   }

@@ -1,7 +1,9 @@
 // The shard spool: filesystem-based cell distribution across processes.
 //
 // When a sweep runs sharded, the coordinator turns every cache-miss cell
-// into a task file under `<spool>/todo/`, and any number of worker processes
+// into a task file under `<spool>/todo/` — the cell's key, its spec text
+// (CellSpecText, in the sweep-spec grammar) and its policy, mix, replication
+// and seed — and any number of worker processes
 // (affsched_served --worker) race to claim them. A claim is a rename(2) of
 // `todo/<cellkey>.task` into `claimed/` — atomic on POSIX, so exactly one
 // process wins each cell; the losers see ENOENT and move on. Workers publish
@@ -27,30 +29,21 @@
 #ifndef SRC_SERVE_SPOOL_H_
 #define SRC_SERVE_SPOOL_H_
 
-#include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/runner/sweep.h"
 #include "src/serve/result_cache.h"
 
 namespace affsched {
 
-// One unit of shard work: everything a worker needs to reproduce the cell's
-// simulation. Carries exactly the spec-addressable machine/engine fields —
-// the same set the cell key hashes — so a decoded task can never silently
-// differ from the key it is named by.
+// One unit of shard work. `spec` is the sweep's CellSpecText — the very text
+// the cell key hashes — and `cell` names the policy, mix, replication and
+// seed. A worker rebuilds every simulation input by parsing that text, so it
+// simulates exactly the cell the key names.
 struct SpoolTask {
-  std::string key;     // 32-hex cell content address
-  std::string policy;  // CLI name
-  int mix = 0;         // Table 2 workload number
-  std::size_t replication = 0;
-  uint64_t seed = 0;
-  std::size_t procs = 0;
-  double speed = 1.0;
-  double cache = 1.0;
-  std::string topology;  // TopologySpec::ToSpecString(), or "flat"
-  int64_t balance_ns = 0;
+  std::string key;  // 32-hex cell content address
+  std::string spec;
+  CellEntryMeta cell;
 };
 
 class Spool {
@@ -86,13 +79,10 @@ class Spool {
   // Pending (unclaimed) task count — coordinator diagnostics.
   std::size_t PendingCount() const;
 
-  static SpoolTask MakeTask(const std::string& key, const SweepSpec& spec, PolicyKind policy,
-                            int mix_number, std::size_t replication, uint64_t seed);
-
-  // Reconstructs the simulation inputs a task describes. Returns false (with
-  // a message) on an undecodable topology or unknown policy/mix.
-  static bool TaskInputs(const SpoolTask& task, MachineConfig* machine, EngineOptions* engine,
-                         PolicyKind* policy, std::vector<AppProfile>* jobs, std::string* error);
+  // Parses the task's spec text with its policy and mix appended, through
+  // the strict sweep-spec grammar. Returns false (with a message) on any
+  // value ParseSweepSpec refuses or a policy field that is not one name.
+  static bool TaskSpec(const SpoolTask& task, SweepSpec* spec, std::string* error);
 
   // Task file codec (strict JSON, like cache entries).
   static std::string EncodeTask(const SpoolTask& task);

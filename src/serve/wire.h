@@ -8,7 +8,7 @@
 //
 //   -> {"op":"ping"}
 //   <- {"event":"pong","git_rev":"abc123"}
-//   -> {"op":"submit","spec":"smoke;reps=2","jobs":4}
+//   -> {"op":"submit","spec":"smoke;reps=2"}
 //   <- {"event":"planned","sweep":"1f2e...","name":"smoke;reps=2","cells_min":12}
 //   <- {"event":"cell","sweep":"1f2e...","policy":"equi","mix":1,"rep":0,
 //       "seed":...,"source":"sim"}            (one per cell, fold order;
@@ -28,7 +28,6 @@
 #ifndef SRC_SERVE_WIRE_H_
 #define SRC_SERVE_WIRE_H_
 
-#include <cstddef>
 #include <string>
 
 namespace affsched {
@@ -36,11 +35,11 @@ namespace affsched {
 struct WireRequest {
   std::string op;    // "submit", "stats", "ping", "shutdown"
   std::string spec;  // submit only: a ParseSweepSpec string
-  std::size_t jobs = 0;  // submit only: worker threads (0 = server default)
 };
 
 // Parses one request line. Unknown ops parse fine (the daemon answers them
-// with an error event); malformed JSON or a missing/non-string "op" fails.
+// with an error event) and unknown members are ignored; malformed JSON or a
+// missing/non-string "op" fails.
 bool ParseWireRequest(const std::string& line, WireRequest* request, std::string* error);
 
 // {"event":"error","message":"<escaped>"} — the one response shape every

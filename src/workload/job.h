@@ -8,6 +8,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <variant>
 
 #include "src/common/check.h"
 #include "src/common/time.h"
@@ -102,10 +103,13 @@ struct JobStats {
     return steals_same_cluster + steals_same_node + steals_cross_node;
   }
 
-  double ResponseSeconds() const {
+  // In-service response time; see queue_wait_s for the part before it.
+  SimDuration ResponseTime() const {
     AFF_CHECK_MSG(completion >= 0, "job has not completed");
-    return ToSeconds(completion - arrival);
+    return completion - arrival;
   }
+
+  double ResponseSeconds() const { return ToSeconds(ResponseTime()); }
 
   // Queue wait plus in-service response: the open-system end-to-end latency.
   double SojournSeconds() const { return queue_wait_s + ResponseSeconds(); }
@@ -126,6 +130,52 @@ struct JobStats {
   double ReallocationIntervalSeconds() const {
     return reallocations > 0 ? alloc_integral_s / static_cast<double>(reallocations) : 0.0;
   }
+};
+
+// How ReplicationFolder combines one JobStats field across replications.
+enum class StatsFold {
+  kMean,      // sum, then divide; integer fields take the truncating mean
+  kMax,       // the worst case observed in any replication
+  kResponse,  // the mean response time (completion - arrival), kept in `completion`
+  kNone,      // not folded: the replicated value keeps its default
+};
+
+// One JobStats field: its member name in a result-cache entry, the member,
+// and its replication rule.
+struct JobStatsField {
+  const char* name;
+  std::variant<double JobStats::*, uint64_t JobStats::*, SimTime JobStats::*> member;
+  StatsFold fold;
+};
+
+// Every JobStats field, in cache-entry order. The replication fold and the
+// cache-entry codec both walk this table, so a field added here is averaged
+// and cached with no other edit.
+inline constexpr JobStatsField kJobStatsFields[] = {
+    {"arrival", &JobStats::arrival, StatsFold::kNone},
+    {"completion", &JobStats::completion, StatsFold::kResponse},
+    {"queue_wait_s", &JobStats::queue_wait_s, StatsFold::kNone},
+    {"useful_work_s", &JobStats::useful_work_s, StatsFold::kMean},
+    {"reload_stall_s", &JobStats::reload_stall_s, StatsFold::kMean},
+    {"steady_stall_s", &JobStats::steady_stall_s, StatsFold::kMean},
+    {"switch_s", &JobStats::switch_s, StatsFold::kMean},
+    {"waste_s", &JobStats::waste_s, StatsFold::kMean},
+    {"alloc_integral_s", &JobStats::alloc_integral_s, StatsFold::kMean},
+    {"reallocations", &JobStats::reallocations, StatsFold::kMean},
+    {"affinity_dispatches", &JobStats::affinity_dispatches, StatsFold::kMean},
+    {"mig_core", &JobStats::migrations_same_core, StatsFold::kMean},
+    {"mig_cluster", &JobStats::migrations_same_cluster, StatsFold::kMean},
+    {"mig_node", &JobStats::migrations_same_node, StatsFold::kMean},
+    {"mig_cross", &JobStats::migrations_cross_node, StatsFold::kMean},
+    {"reload_llc_s", &JobStats::reload_llc_s, StatsFold::kMean},
+    {"reload_remote_s", &JobStats::reload_remote_s, StatsFold::kMean},
+    {"steal_cluster", &JobStats::steals_same_cluster, StatsFold::kMean},
+    {"steal_node", &JobStats::steals_same_node, StatsFold::kMean},
+    {"steal_cross", &JobStats::steals_cross_node, StatsFold::kMean},
+    {"balance_migrations", &JobStats::balance_migrations, StatsFold::kMean},
+    {"deadline_misses", &JobStats::deadline_misses, StatsFold::kMean},
+    {"tardiness_s", &JobStats::tardiness_s, StatsFold::kMean},
+    {"worst_reload_s", &JobStats::worst_reload_s, StatsFold::kMax},
 };
 
 class Job {

@@ -172,6 +172,80 @@ TEST(SweepSpecTest, NumberRespellingsCanonicalizeIdentically) {
   }
 }
 
+// Every MachineConfig and EngineOptions field, addressable by a spec key or
+// not, must survive CellSpecText -> ParseSweepSpec.
+void ExpectSameCell(const SweepSpec& want, const SweepSpec& got, const std::string& text) {
+  const MachineConfig& a = want.machine;
+  const MachineConfig& b = got.machine;
+  EXPECT_EQ(a.num_processors, b.num_processors) << text;
+  EXPECT_EQ(a.task_history_depth, b.task_history_depth) << text;
+  EXPECT_EQ(a.geometry.line_bytes, b.geometry.line_bytes) << text;
+  EXPECT_EQ(a.geometry.total_bytes, b.geometry.total_bytes) << text;
+  EXPECT_EQ(a.geometry.ways, b.geometry.ways) << text;
+  EXPECT_EQ(a.cache_model, b.cache_model) << text;
+  EXPECT_EQ(a.cache_model_seed, b.cache_model_seed) << text;
+  EXPECT_EQ(a.miss_service, b.miss_service) << text;
+  EXPECT_EQ(a.switch_cost, b.switch_cost) << text;
+  EXPECT_EQ(a.num_colors, b.num_colors) << text;
+  EXPECT_EQ(a.processor_speed, b.processor_speed) << text;
+  EXPECT_EQ(a.cache_size_factor, b.cache_size_factor) << text;
+  EXPECT_EQ(a.bus.transfer_seconds, b.bus.transfer_seconds) << text;
+  EXPECT_EQ(a.bus.window_seconds, b.bus.window_seconds) << text;
+  EXPECT_EQ(a.bus.max_inflation, b.bus.max_inflation) << text;
+  EXPECT_EQ(a.topology.ToSpecString(), b.topology.ToSpecString()) << text;
+  EXPECT_EQ(want.engine.chunk_quantum, got.engine.chunk_quantum) << text;
+  EXPECT_EQ(want.engine.credit_decay_s, got.engine.credit_decay_s) << text;
+  EXPECT_EQ(want.engine.record_parallelism, got.engine.record_parallelism) << text;
+  EXPECT_EQ(want.engine.processor_history_depth, got.engine.processor_history_depth) << text;
+  EXPECT_EQ(want.engine.balance_interval, got.engine.balance_interval) << text;
+  EXPECT_EQ(want.rt, got.rt) << text;
+  if (want.rt) {
+    EXPECT_EQ(want.deadline_mix, got.deadline_mix) << text;
+  }
+}
+
+TEST(SweepSpecTest, CellSpecTextParsesBackToTheSameCell) {
+  for (const char* source :
+       {"fig5", "table3", "future", "smoke", "mq", "rt", "rt;rt=0",
+        "smoke;balance-interval=2.5;speed=1.5;cache=0.75;topology=cmp-2x10",
+        "smoke;procs=8;colors=4;rt=1;deadline-mix=tight",
+        // Non-integral periods: Milliseconds() truncates, so the rendering
+        // must choose a double that reads back the same nanosecond count.
+        "mq;balance-interval=1.000001", "mq;balance-interval=123.456789",
+        "mq;balance-interval=999999.999999"}) {
+    SweepSpec spec;
+    SweepSpec parsed;
+    std::string error;
+    ASSERT_TRUE(ParseSweepSpec(source, &spec, &error)) << source << ": " << error;
+    const std::string text = CellSpecText(spec);
+    ASSERT_TRUE(ParseSweepSpec(text, &parsed, &error)) << text << ": " << error;
+    ExpectSameCell(spec, parsed, text);
+    EXPECT_EQ(CellSpecText(parsed), text);
+  }
+}
+
+TEST(SweepSpecTest, CellSpecTextRoundTripsEveryBalancePeriod) {
+  // Sweep whole-nanosecond periods across the valid range, including the
+  // ones whose nearest double in ms multiplies back to just under the count.
+  SweepSpec spec = SmokeSpec();
+  SweepSpec parsed;
+  std::string error;
+  size_t checked = 0;
+  size_t truncating = 0;
+  for (int64_t ns = Milliseconds(1); ns <= Milliseconds(1e6); ns = ns * 3 / 2 + 7) {
+    for (int64_t delta = 0; delta < 50; ++delta) {
+      spec.engine.balance_interval = ns + delta;
+      const std::string text = CellSpecText(spec);
+      ASSERT_TRUE(ParseSweepSpec(text, &parsed, &error)) << text << ": " << error;
+      ASSERT_EQ(parsed.engine.balance_interval, ns + delta) << text;
+      ++checked;
+      truncating += Milliseconds(ToMilliseconds(ns + delta)) != ns + delta ? 1 : 0;
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+  EXPECT_GT(truncating, 0u);  // the naive rendering would have lost these
+}
+
 TEST(SweepSpecTest, MinCellsCountsTheGrid) {
   SweepSpec spec;
   std::string error;

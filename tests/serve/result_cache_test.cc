@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/telemetry/json.h"
 
@@ -157,6 +159,22 @@ TEST(ResultCacheTest, DecodeRejectsTamperedEntries) {
   ASSERT_NE(mk, std::string::npos);
   no_makespan.replace(mk, 10, "\"snakespam\"");
   EXPECT_FALSE(ResultCache::DecodeEntry(no_makespan, &out));
+  // Integers are whole tokens in range: nothing wraps, rounds or saturates
+  // into a plausible value, in the meta, the run or the stats.
+  CellEntryMeta meta;
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {"\"mix\":5", "\"mix\":4294967297"},
+           {"\"rep\":2", "\"rep\":1.5"},
+           {"\"completion\":123456789012345", "\"completion\":1.5"},
+           {"\"seed\":244837814094590", "\"seed\":18446744073709551616"},
+           {"\"events\":987654321", "\"events\":-1"},
+       }) {
+    const size_t pos = good.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    std::string tampered = good;
+    tampered.replace(pos, from.size(), to);
+    EXPECT_FALSE(ResultCache::DecodeEntry(tampered, &out, &meta)) << to;
+  }
 }
 
 TEST(ResultCacheTest, EvictsLeastRecentlyUsedOverBudget) {

@@ -28,8 +28,8 @@ std::string FreshDir(const std::string& name) {
 }
 
 // Small profiles so unit-test submissions are fast. The spool/shard tests
-// can't use this: workers reconstruct jobs from the spec-addressable fields,
-// which always mean the full-size default profiles.
+// can't use this: workers rebuild a cell from its spec text, which always
+// means the full-size default profiles.
 SweepSpec TinySpec() {
   SweepSpec spec;
   spec.name = "tiny";
@@ -195,9 +195,9 @@ TEST(SweepServiceTest, StreamsPlannedCellsResultDone) {
 }
 
 TEST(SweepServiceTest, ShardWorkersResolveEveryCell) {
-  // Full-size profiles: the worker rebuilds the cell's inputs from the task
-  // file alone, which always means the default profiles — so keep the grid
-  // minimal (1 policy x 1 mix x 2 reps).
+  // Full-size profiles: the worker rebuilds the cell's inputs from the task's
+  // spec text alone, which always means the default profiles — so keep the
+  // grid minimal (1 policy x 1 mix x 2 reps).
   SweepSpec spec;
   std::string error;
   ASSERT_TRUE(ParseSweepSpec("smoke;mixes=1;policies=equi;reps=2", &spec, &error)) << error;
@@ -241,15 +241,57 @@ TEST(SweepServiceTest, ShardWorkersResolveEveryCell) {
   EXPECT_EQ(service.counters().cells_executed.load(), 0u);
 }
 
+TEST(SweepServiceTest, ShardedRtAndColorCellsMatchUnsharded) {
+  // The worker rebuilds a cell from the task's spec text alone, so the
+  // deadline stamp (rt=1) and the 8-color partitioned substrate must reach
+  // it: both documents are byte-identical to the unsharded run.
+  for (const char* text : {"rt;mixes=1;reps=1", "rt;mixes=1;reps=1;rt=0"}) {
+    SweepSpec spec;
+    std::string error;
+    ASSERT_TRUE(ParseSweepSpec(text, &spec, &error)) << error;
+    SubmitOutcome golden;
+    {
+      SweepService service(TinyOptions(FreshDir("rt-golden")));
+      ASSERT_TRUE(service.Submit(spec, {}, &golden, &error)) << error;
+    }
+
+    SweepServiceOptions options = TinyOptions(FreshDir("rt-cache"));
+    options.spool_dir = FreshDir("rt-spool");
+    options.shard_local_execution = false;
+    SweepService service(options);
+    ASSERT_TRUE(service.ok()) << service.error();
+    ResultCache worker_cache({options.cache_dir, 0});
+    Spool worker_spool(options.spool_dir);
+    SpoolWorkerOptions worker_options;
+    worker_options.idle_timeout_s = 10.0;
+    size_t executed = 0;
+    std::thread worker(
+        [&] { executed = RunSpoolWorker(&worker_spool, &worker_cache, worker_options); });
+    SubmitOutcome outcome;
+    ASSERT_TRUE(service.Submit(spec, {}, &outcome, &error)) << error;
+    worker_spool.RequestStop();
+    worker.join();
+
+    EXPECT_EQ(outcome.remote, outcome.cells) << text;
+    EXPECT_EQ(executed, outcome.cells) << text;
+    EXPECT_EQ(outcome.json, golden.json) << text;
+  }
+}
+
+// A task for cell (equi, mix 1, rep 0, seed 42) of `spec`.
+SpoolTask TaskFor(const std::string& key, const SweepSpec& spec) {
+  return SpoolTask{key, CellSpecText(spec), CellEntryMeta{"equi", 1, 0, 42}};
+}
+
 TEST(SweepServiceTest, SpoolClaimsAreExactlyOnce) {
   const std::string dir = FreshDir("spool");
   Spool spool(dir);
   ASSERT_TRUE(spool.ok()) << spool.error();
   SweepSpec spec;
   std::string error;
-  ASSERT_TRUE(ParseSweepSpec("smoke;mixes=1;policies=equi;reps=2", &spec, &error));
+  ASSERT_TRUE(ParseSweepSpec("smoke;mixes=1;policies=equi;reps=2;procs=8", &spec, &error));
 
-  SpoolTask task = Spool::MakeTask("aaaa", spec, PolicyKind::kEquipartition, 1, 0, 42);
+  const SpoolTask task = TaskFor("aaaa", spec);
   ASSERT_TRUE(spool.Offer(task));
   ASSERT_TRUE(spool.Offer(task));  // re-offer is a no-op
   EXPECT_EQ(spool.PendingCount(), 1u);
@@ -265,14 +307,16 @@ TEST(SweepServiceTest, SpoolClaimsAreExactlyOnce) {
   ASSERT_TRUE(spool.Offer(task));
   ASSERT_TRUE(spool.ClaimNext(&claimed));
   EXPECT_EQ(claimed.key, "aaaa");
-  MachineConfig machine;
-  EngineOptions engine;
-  PolicyKind policy;
-  std::vector<AppProfile> jobs;
-  ASSERT_TRUE(Spool::TaskInputs(claimed, &machine, &engine, &policy, &jobs, &error)) << error;
-  EXPECT_EQ(machine.num_processors, spec.machine.num_processors);
-  EXPECT_EQ(policy, PolicyKind::kEquipartition);
-  EXPECT_FALSE(jobs.empty());
+  EXPECT_EQ(claimed.spec, task.spec);
+  EXPECT_EQ(claimed.cell.seed, 42u);
+  SweepSpec rebuilt;
+  ASSERT_TRUE(Spool::TaskSpec(claimed, &rebuilt, &error)) << error;
+  EXPECT_EQ(rebuilt.machine.num_processors, 8u);
+  ASSERT_EQ(rebuilt.policies.size(), 1u);
+  EXPECT_EQ(rebuilt.policies[0], PolicyKind::kEquipartition);
+  ASSERT_EQ(rebuilt.mixes.size(), 1u);
+  EXPECT_EQ(rebuilt.mixes[0].number, 1);
+  EXPECT_FALSE(MixJobs(rebuilt, rebuilt.mixes[0]).empty());
 
   EXPECT_FALSE(spool.StopRequested());
   EXPECT_TRUE(spool.RequestStop());
@@ -294,7 +338,7 @@ TEST(SweepServiceTest, ClaimNextDropsAnUndecodableTaskAndClaimsTheNext) {
     out << "not json {";
   }
   fs::last_write_time(corrupt, fs::file_time_type::clock::now() - std::chrono::hours(1));
-  ASSERT_TRUE(spool.Offer(Spool::MakeTask("aaaa", spec, PolicyKind::kEquipartition, 1, 0, 42)));
+  ASSERT_TRUE(spool.Offer(TaskFor("aaaa", spec)));
   EXPECT_EQ(spool.PendingCount(), 2u);
 
   SpoolTask claimed;
@@ -314,12 +358,14 @@ TEST(SweepServiceTest, SpoolTaskDecodingIsStrict) {
   SweepSpec spec;
   std::string error;
   ASSERT_TRUE(ParseSweepSpec("smoke;mixes=1;policies=equi;reps=2", &spec, &error));
-  const std::string good =
-      Spool::EncodeTask(Spool::MakeTask("aaaa", spec, PolicyKind::kEquipartition, 1, 3, 42));
-  SpoolTask task;
+  SpoolTask task = TaskFor("aaaa", spec);
+  task.cell.replication = 3;
+  const std::string good = Spool::EncodeTask(task);
   ASSERT_TRUE(Spool::DecodeTask(good, &task)) << good;
-  EXPECT_EQ(task.mix, 1);
-  EXPECT_EQ(task.replication, 3u);
+  EXPECT_EQ(task.cell.mix, 1);
+  EXPECT_EQ(task.cell.replication, 3u);
+  SweepSpec rebuilt;
+  ASSERT_TRUE(Spool::TaskSpec(task, &rebuilt, &error)) << error;
 
   const auto with = [&good](const std::string& from, const std::string& to) {
     const size_t at = good.find(from);
@@ -327,29 +373,39 @@ TEST(SweepServiceTest, SpoolTaskDecodingIsStrict) {
     std::string text = good;
     return text.replace(at, from.size(), to);
   };
+  // The task's own integers are read strictly: a mix of 4294967297 does not
+  // wrap to 1 and a rep of 1.5 is not read as 1. A schema-1 task (the
+  // per-field format) is refused, not misread.
   for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
            {"\"mix\":1", "\"mix\":4294967297"},
            {"\"mix\":1", "\"mix\":1.0"},
            {"\"rep\":3", "\"rep\":1.5"},
            {"\"rep\":3", "\"rep\":-3"},
            {"\"seed\":42", "\"seed\":18446744073709551616"},
-           {"\"procs\":", "\"procs\":1e3,\"x\":"},
-           {"\"balance_ns\":", "\"balance_ns\":1e300,\"x\":"},
+           {"\"task_schema\":2", "\"task_schema\":1"},
        }) {
     const std::string text = with(from, to);
     EXPECT_FALSE(Spool::DecodeTask(text, &task)) << text;
   }
 
-  // A whole but sub-millisecond balance period decodes, and is refused as a
-  // simulation input like the spec key and simctl's flag refuse it.
-  const std::string fast = with("\"balance_ns\":", "\"balance_ns\":1,\"x\":");
-  ASSERT_TRUE(Spool::DecodeTask(fast, &task)) << fast;
-  EXPECT_EQ(task.balance_ns, 1);
-  MachineConfig machine;
-  EngineOptions engine;
-  PolicyKind policy;
-  std::vector<AppProfile> jobs;
-  EXPECT_FALSE(Spool::TaskInputs(task, &machine, &engine, &policy, &jobs, &error));
+  // Everything else is spec text, refused by the sweep grammar: counts must
+  // be integers, and the balance period must be 0 or in [1, 1e6] ms — which
+  // refuses both an overflowing 1e300 and a 1 ns (1e-6 ms) flood of ticks.
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {"procs=16", "procs=1e3"},
+           {"balance-interval=0", "balance-interval=1e300"},
+           {"balance-interval=0", "balance-interval=0.000001"},
+           {"\"mix\":1", "\"mix\":7"},
+           {"\"policy\":\"equi\"", "\"policy\":\"no-such-policy\""},
+           {"\"policy\":\"equi\"", "\"policy\":\"equi,dyn-aff\""},
+           {"\"policy\":\"equi\"", "\"policy\":\"equi;procs=8\""},
+       }) {
+    const std::string text = with(from, to);
+    ASSERT_TRUE(Spool::DecodeTask(text, &task)) << text;
+    EXPECT_FALSE(Spool::TaskSpec(task, &rebuilt, &error)) << text;
+  }
+  ASSERT_TRUE(Spool::DecodeTask(with("balance-interval=0", "balance-interval=0.000001"), &task));
+  EXPECT_FALSE(Spool::TaskSpec(task, &rebuilt, &error));
   EXPECT_NE(error.find("balance-interval"), std::string::npos) << error;
 }
 

@@ -48,6 +48,11 @@ TEST(SpecCanonTest, DifferentGridsGetDifferentKeys) {
   EXPECT_NE(SweepKey(MustParse("smoke;colors=8")), SweepKey(MustParse("smoke;colors=4")));
 }
 
+std::string Key(const SweepSpec& spec, PolicyKind policy, int mix, size_t rep, uint64_t seed,
+                const std::string& rev = "rev") {
+  return CellKey(CellSpecText(spec), policy, mix, rep, seed, rev);
+}
+
 TEST(SpecCanonTest, CellKeyIgnoresGridShape) {
   // A cell is addressed by what its simulation consumes; which *other*
   // policies ran, the replication bounds, and the observability flag are
@@ -55,39 +60,39 @@ TEST(SpecCanonTest, CellKeyIgnoresGridShape) {
   const SweepSpec narrow = MustParse("smoke;policies=equi;reps=2");
   const SweepSpec wide = MustParse("smoke;policies=equi,dyn-aff;reps=2-8;observability=1");
   const uint64_t seed = DeriveCellSeed(narrow.root_seed, 1, 0);
-  EXPECT_EQ(CellKeyWithRev(narrow, PolicyKind::kEquipartition, 1, 0, seed, "rev"),
-            CellKeyWithRev(wide, PolicyKind::kEquipartition, 1, 0, seed, "rev"));
+  EXPECT_EQ(Key(narrow, PolicyKind::kEquipartition, 1, 0, seed),
+            Key(wide, PolicyKind::kEquipartition, 1, 0, seed));
 }
 
 TEST(SpecCanonTest, CellKeyCoversSimulationInputs) {
   const SweepSpec spec = MustParse("smoke");
   const uint64_t seed = DeriveCellSeed(spec.root_seed, 1, 0);
-  const std::string base = CellKeyWithRev(spec, PolicyKind::kEquipartition, 1, 0, seed, "rev");
+  const PolicyKind equi = PolicyKind::kEquipartition;
+  const std::string base = Key(spec, equi, 1, 0, seed);
   // Policy, coordinates, seed, build revision: all identity.
-  EXPECT_NE(base, CellKeyWithRev(spec, PolicyKind::kDynAff, 1, 0, seed, "rev"));
-  EXPECT_NE(base, CellKeyWithRev(spec, PolicyKind::kEquipartition, 5, 0, seed, "rev"));
-  EXPECT_NE(base, CellKeyWithRev(spec, PolicyKind::kEquipartition, 1, 1, seed, "rev"));
-  EXPECT_NE(base, CellKeyWithRev(spec, PolicyKind::kEquipartition, 1, 0, seed + 1, "rev"));
-  EXPECT_NE(base, CellKeyWithRev(spec, PolicyKind::kEquipartition, 1, 0, seed, "rev2"));
-  // Machine fields are identity too.
-  EXPECT_NE(base, CellKeyWithRev(MustParse("smoke;procs=8"), PolicyKind::kEquipartition, 1, 0,
-                                 seed, "rev"));
-  EXPECT_NE(base, CellKeyWithRev(MustParse("smoke;cache=2"), PolicyKind::kEquipartition, 1, 0,
-                                 seed, "rev"));
-  // The rt stamp and the color budget feed the simulation, so they are cell
-  // identity (unlike grid shape).
-  EXPECT_NE(base, CellKeyWithRev(MustParse("smoke;rt=1"), PolicyKind::kEquipartition, 1, 0,
-                                 seed, "rev"));
-  EXPECT_NE(base, CellKeyWithRev(MustParse("smoke;colors=8"), PolicyKind::kEquipartition, 1, 0,
-                                 seed, "rev"));
+  EXPECT_NE(base, Key(spec, PolicyKind::kDynAff, 1, 0, seed));
+  EXPECT_NE(base, Key(spec, equi, 5, 0, seed));
+  EXPECT_NE(base, Key(spec, equi, 1, 1, seed));
+  EXPECT_NE(base, Key(spec, equi, 1, 0, seed + 1));
+  EXPECT_NE(base, Key(spec, equi, 1, 0, seed, "rev2"));
+  // Every field CellSpecText renders is identity too, the rt stamp and the
+  // color budget included (unlike grid shape).
+  for (const char* text :
+       {"smoke;procs=8", "smoke;speed=2", "smoke;cache=2", "smoke;topology=cmp-2x10",
+        "smoke;balance-interval=10", "smoke;colors=8", "smoke;rt=1"}) {
+    EXPECT_NE(base, Key(MustParse(text), equi, 1, 0, seed)) << text;
+  }
+  EXPECT_NE(Key(MustParse("smoke;rt=1"), equi, 1, 0, seed),
+            Key(MustParse("smoke;rt=1;deadline-mix=hard"), equi, 1, 0, seed));
+  // With rt off the deadline mix stamps nothing, so it is not identity.
+  EXPECT_EQ(base, Key(MustParse("smoke;deadline-mix=hard"), equi, 1, 0, seed));
 }
 
 TEST(SpecCanonTest, KeysAreWellFormedHex) {
   const SweepSpec spec = MustParse("smoke");
   const std::string sweep_key = SweepKey(spec);
   EXPECT_EQ(sweep_key.size(), 16u);
-  const std::string cell_key =
-      CellKeyWithRev(spec, PolicyKind::kEquipartition, 1, 0, 123, "rev");
+  const std::string cell_key = Key(spec, PolicyKind::kEquipartition, 1, 0, 123);
   EXPECT_EQ(cell_key.size(), 32u);
   for (const char c : cell_key) {
     EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << cell_key;

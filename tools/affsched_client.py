@@ -9,7 +9,7 @@ do, any language with sockets and a JSON library can do too.
 Usage:
   tools/affsched_client.py --socket /tmp/aff.sock ping
   tools/affsched_client.py --socket /tmp/aff.sock submit "smoke;reps=2" \
-      [--jobs 4] [--out result.json] [--quiet]
+      [--out result.json] [--quiet]
   tools/affsched_client.py --socket /tmp/aff.sock stats
   tools/affsched_client.py --socket /tmp/aff.sock shutdown
 
@@ -65,10 +65,7 @@ def one_shot(channel, request, expect_event):
 
 
 def submit(channel, args):
-    request = {"op": "submit", "spec": args.spec}
-    if args.jobs:
-        request["jobs"] = args.jobs
-    channel.send(request)
+    channel.send({"op": "submit", "spec": args.spec})
     summary = None
     while True:
         event = channel.recv()
@@ -101,7 +98,6 @@ def main():
     sub = parser.add_subparsers(dest="op", required=True)
     p_submit = sub.add_parser("submit", help="run a sweep spec via the daemon")
     p_submit.add_argument("spec", help="sweep spec string (same syntax as simctl --sweep)")
-    p_submit.add_argument("--jobs", type=int, default=0, help="server worker threads")
     p_submit.add_argument("--out", help="save the result JSON document here")
     p_submit.add_argument("--quiet", action="store_true", help="suppress per-cell events")
     sub.add_parser("stats", help="print cache/service counters")
