@@ -8,14 +8,17 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "src/apps/apps.h"
 #include "src/cache/exact_cache.h"
 #include "src/cache/footprint.h"
 #include "src/engine/engine.h"
+#include "src/measure/mixes.h"
 #include "src/sched/factory.h"
 #include "src/sched/metered.h"
 #include "src/sim/event_queue.h"
@@ -85,6 +88,31 @@ void BM_EndToEndSmallMix(benchmark::State& state) {
   state.counters["sim_s_per_iter"] = simulated_seconds / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_EndToEndSmallMix);
+
+// Chunk cost against machine width: Table 2's mix 5 (MATRIX + GRAVITY, the
+// paper-size profiles) under Dyn-Aff on a flat machine of 16, 64 and 256
+// processors. A chunk's coherence sweep visits only its job's running
+// workers, so ns_per_event should grow far slower than the processor count.
+void BM_EndToEndWidth(benchmark::State& state) {
+  MachineConfig machine;
+  machine.num_processors = static_cast<size_t>(state.range(0));
+  const std::vector<AppProfile> jobs = PaperMixes()[4].Expand(DefaultProfiles());
+  uint64_t events = 0;
+  double run_ns = 0.0;
+  for (auto _ : state) {
+    Engine engine(machine, MakePolicy(PolicyKind::kDynAff), 42);
+    for (const AppProfile& profile : jobs) {
+      engine.SubmitJob(profile);
+    }
+    const auto start = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(engine.Run());
+    run_ns += std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start)
+                  .count();
+    events += engine.event_queue_stats().run;
+  }
+  state.counters["ns_per_event"] = run_ns / static_cast<double>(events);
+}
+BENCHMARK(BM_EndToEndWidth)->Arg(16)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
 // Same run with a MetricsRegistry attached. Comparing against
 // BM_EndToEndSmallMix measures the cost of the counter bumps; with no

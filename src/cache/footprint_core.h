@@ -63,9 +63,22 @@ class FootprintCore : public CacheModel {
     SetResidentInternal(owner, std::max(0.0, ResidentOf(owner) - blocks));
   }
 
-  // EjectBlocks(owner, min(up_to, Resident(owner))) with one table access.
+  // EjectBlocks(owner, min(up_to, Resident(owner))). An owner that stays
+  // resident costs one slot access, with SetResidentInternal's arithmetic;
+  // one that drops to 0, or is absent, takes the general path.
   double Invalidate(CacheOwner owner, double up_to) final {
     AFF_CHECK(up_to >= 0.0);
+    if (owner < slots_.size()) {
+      double& resident = slots_[owner].resident;
+      const double old = resident;
+      const double eject = std::min(up_to, old);
+      const double blocks = old - eject;
+      if (blocks > 0.0) {
+        occupied_ += blocks - old;
+        resident = blocks;
+        return eject;
+      }
+    }
     const double old = ResidentOf(owner);
     const double eject = std::min(up_to, old);
     SetResidentInternal(owner, old - eject);

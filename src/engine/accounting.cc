@@ -264,16 +264,9 @@ void Accounting::RecordParallelism(JobId id) {
   }
   const double dt = ToSeconds(core_.queue.now() - js.par_update);
   if (dt > 0.0) {
-    js.par_hist->Add(js.running_workers, dt);
+    js.par_hist->Add(js.running.size(), dt);
   }
   js.par_update = core_.queue.now();
-}
-
-void Accounting::SetRunningWorkers(JobId id, int delta) {
-  JobState& js = core_.job_state(id);
-  RecordParallelism(id);
-  AFF_CHECK(delta >= 0 || js.running_workers >= static_cast<size_t>(-delta));
-  js.running_workers = static_cast<size_t>(static_cast<long>(js.running_workers) + delta);
 }
 
 }  // namespace affsched

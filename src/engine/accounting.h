@@ -127,8 +127,9 @@ class Accounting {
   void UpdateAllocIntegral(JobId id);
   void UpdateCredit(JobId id);
   void ChangeAllocation(JobId id, int delta);
+  // Closes the parallelism-histogram interval at the job's running-worker
+  // count; call before every EngineCore::SetRunning that changes it.
   void RecordParallelism(JobId id);
-  void SetRunningWorkers(JobId id, int delta);
 
   // Handles for the event-count bumps that live with protocol/dispatch flow
   // (holds, yields, releases, preempts, resumes, arrivals, completions...).

@@ -10,8 +10,6 @@
 #ifndef SRC_ENGINE_DISPATCHER_H_
 #define SRC_ENGINE_DISPATCHER_H_
 
-#include <vector>
-
 #include "src/engine/accounting.h"
 #include "src/engine/engine_core.h"
 #include "src/machine/machine.h"
@@ -48,9 +46,6 @@ class Dispatcher {
   EngineCore& core_;
   Accounting& acct_;
   AllocatorProtocol* alloc_ = nullptr;
-  // StartChunk's running-sibling list, refilled per chunk so steady-state
-  // chunks do not allocate.
-  std::vector<Machine::SiblingPlacement> siblings_;
 };
 
 }  // namespace affsched

@@ -57,6 +57,10 @@ void Engine::SetCompletionHook(std::function<void(JobId)> hook) {
 }
 
 SimTime Engine::Run() {
+  return RunObserved([](const EngineCore&) {});
+}
+
+void Engine::BeginRun() {
   AFF_CHECK(!core_.running);
   core_.running = true;
   acct_.ResolveJobMetrics();
@@ -64,14 +68,11 @@ SimTime Engine::Run() {
     StartSampling();
   }
   StartBalancing();
-  SimTime last_completion = 0;
-  while (core_.WorkRemaining()) {
-    if (!core_.queue.RunNext()) {
-      DumpState();
-      AFF_CHECK_MSG(false, "simulation stalled with jobs outstanding");
-    }
-  }
+}
+
+SimTime Engine::EndRun() {
   acct_.FinalizeMetrics();
+  SimTime last_completion = 0;
   for (const JobState& js : core_.jobs) {
     last_completion = std::max(last_completion, js.job->stats().completion);
   }

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/engine/accounting.h"
 #include "src/engine/allocator_protocol.h"
 #include "src/engine/dispatcher.h"
@@ -74,6 +75,22 @@ class Engine : public SchedView {
   // Runs the simulation until all submitted jobs complete and no external
   // events remain. Returns the completion time of the last job.
   SimTime Run();
+
+  // Run(), calling `after_event(state)` with the engine's state (a const
+  // EngineCore&) after every event. For invariant checks over whole runs;
+  // Run() is this with an empty observer.
+  template <typename AfterEvent>
+  SimTime RunObserved(AfterEvent&& after_event) {
+    BeginRun();
+    while (core_.WorkRemaining()) {
+      if (!core_.queue.RunNext()) {
+        DumpState();
+        CheckFailed(__FILE__, __LINE__, "simulation stalled with jobs outstanding");
+      }
+      after_event(static_cast<const EngineCore&>(core_));
+    }
+    return EndRun();
+  }
 
   // Streams scheduling events to `sink` (nullptr disables tracing). The sink
   // must outlive the engine.
@@ -155,6 +172,11 @@ class Engine : public SchedView {
   // EngineOptions override) asks for one; no-op otherwise.
   void StartBalancing();
   void BalanceTick(SimDuration cadence);
+
+  // Run loop halves: metrics, sampling and balancing before the first
+  // event; metric finalisation and the last completion time after the last.
+  void BeginRun();
+  SimTime EndRun();
 
   // Prints processor and job state to stderr (deadlock diagnosis).
   void DumpState() const;

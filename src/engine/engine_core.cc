@@ -57,6 +57,26 @@ CacheOwner EngineCore::CreateWorker(JobId id) {
   return wid;
 }
 
+void EngineCore::SetRunning(size_t proc, CacheOwner wid) {
+  AFF_CHECK(proc < procs.size());
+  CacheOwner& slot = procs[proc].running;
+  const auto by_proc = [](const Machine::SiblingPlacement& entry, size_t p) {
+    return entry.proc < p;
+  };
+  if (slot != kNoOwner) {
+    std::vector<Machine::SiblingPlacement>& list = job_state(worker(slot).job).running;
+    const auto it = std::lower_bound(list.begin(), list.end(), proc, by_proc);
+    AFF_CHECK(it != list.end() && it->proc == proc && it->owner == slot);
+    list.erase(it);
+  }
+  slot = wid;
+  if (wid != kNoOwner) {
+    std::vector<Machine::SiblingPlacement>& list = job_state(worker(wid).job).running;
+    list.insert(std::lower_bound(list.begin(), list.end(), proc, by_proc),
+                Machine::SiblingPlacement{proc, wid});
+  }
+}
+
 size_t EngineCore::EffectiveAllocation(JobId id) const {
   const JobState& js = job_state(id);
   const size_t committed = js.allocation + js.pending_incoming;

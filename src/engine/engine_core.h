@@ -65,7 +65,8 @@ constexpr bool BalanceIntervalMsValid(double ms) {
 
 struct ProcState {
   JobId holder = kInvalidJobId;
-  // Worker executing a chunk here (kNoOwner if none).
+  // Worker executing a chunk here (kNoOwner if none). Written only through
+  // EngineCore::SetRunning, which keeps JobState::running in step.
   CacheOwner running = kNoOwner;
   // Worker placed here but currently without a thread.
   CacheOwner holding = kNoOwner;
@@ -100,7 +101,12 @@ struct JobState {
   size_t switching_in = 0;
   // Idle workers, most recently idled first.
   std::vector<CacheOwner> idle_workers;
-  size_t running_workers = 0;
+  // The processors running one of this job's workers, with that worker, in
+  // ascending processor order (EngineCore::SetRunning maintains it). A chunk
+  // hands it to Machine::ExecuteChunk as the sibling list, so the order is
+  // the order the invalidation sum is taken in. Its size is the job's
+  // running-worker count, the parallelism histogram's sample.
+  std::vector<Machine::SiblingPlacement> running;
   // Usage-credit priority state.
   double credit = 0.0;
   SimTime credit_update = 0;
@@ -129,6 +135,13 @@ struct EngineCore {
   JobState& job_state(JobId id);
   const JobState& job_state(JobId id) const;
   CacheOwner CreateWorker(JobId id);
+
+  // --- Mutations ---------------------------------------------------------------
+
+  // Sets the worker executing on `proc` (kNoOwner: none). The only writer of
+  // ProcState::running: it removes `proc` from the previous worker's job's
+  // running list and inserts it, in processor order, into the new worker's.
+  void SetRunning(size_t proc, CacheOwner wid);
 
   // Processors a job holds net of committed reassignments.
   size_t EffectiveAllocation(JobId id) const;

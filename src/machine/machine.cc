@@ -1,5 +1,6 @@
 #include "src/machine/machine.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/cache/exact_model.h"
@@ -74,6 +75,31 @@ std::unique_ptr<CacheModel> BuildCacheModel(const MachineConfig& config, size_t 
   return nullptr;
 }
 
+// The coherence sweep of one chunk. `Cache` is the dynamic type of every
+// cache in the table: a final model binds Invalidate statically, and
+// CacheModel itself leaves the call virtual for the mixed and exact cases.
+template <typename Cache>
+double InvalidateSiblings(const std::vector<CacheModel*>& caches,
+                          const std::vector<Machine::SiblingPlacement>& siblings, size_t proc,
+                          double per_sibling) {
+  double invalidations = 0.0;
+  for (const Machine::SiblingPlacement& sibling : siblings) {
+    if (sibling.proc == proc) {
+      continue;
+    }
+    AFF_CHECK(sibling.proc < caches.size());
+    invalidations += static_cast<Cache&>(*caches[sibling.proc]).Invalidate(sibling.owner,
+                                                                            per_sibling);
+  }
+  return invalidations;
+}
+
+template <typename Cache>
+bool AllCachesAre(const std::vector<CacheModel*>& caches) {
+  return std::all_of(caches.begin(), caches.end(),
+                     [](CacheModel* cache) { return dynamic_cast<Cache*>(cache) != nullptr; });
+}
+
 }  // namespace
 
 Machine::Machine(const MachineConfig& config)
@@ -91,6 +117,14 @@ Machine::Machine(const MachineConfig& config)
   for (size_t i = 0; i < config_.num_processors; ++i) {
     processors_.emplace_back(i, BuildCacheModel(config_, i, topology_, topo_state_.get()),
                              config_.task_history_depth);
+    caches_.push_back(&processors_.back().cache());
+  }
+  if (AllCachesAre<FootprintCache>(caches_)) {
+    sweep_ = &InvalidateSiblings<FootprintCache>;
+  } else if (AllCachesAre<PartitionedCacheModel>(caches_)) {
+    sweep_ = &InvalidateSiblings<PartitionedCacheModel>;
+  } else {
+    sweep_ = &InvalidateSiblings<CacheModel>;
   }
 }
 
@@ -111,14 +145,8 @@ Machine::ChunkExecution Machine::ExecuteChunk(SimTime now, size_t proc, CacheOwn
   // Coherence: writes to shared data invalidate sibling workers' copies in
   // their caches. The invalidations travel over the shared bus.
   double invalidations = 0.0;
-  if (ws.shared_write_per_s > 0.0 && siblings != nullptr && !siblings->empty()) {
-    const double per_sibling = ws.shared_write_per_s * ToSeconds(work);
-    for (const SiblingPlacement& sibling : *siblings) {
-      if (sibling.proc == proc) {
-        continue;
-      }
-      invalidations += processor(sibling.proc).cache().Invalidate(sibling.owner, per_sibling);
-    }
+  if (ws.shared_write_per_s > 0.0 && siblings != nullptr) {
+    invalidations = sweep_(caches_, *siblings, proc, ws.shared_write_per_s * ToSeconds(work));
   }
 
   const double inflation = bus_.InflationFactor(now);

@@ -172,20 +172,32 @@ class Machine {
   // Executes `work` (base-machine processor-seconds) of `owner` on processor
   // `proc` starting at time `now`, evolving the cache and bus state. If the
   // task writes shared data (ws.shared_write_per_s > 0) and `siblings` lists
-  // the same job's workers active on other processors, invalidations erode
-  // their footprints and add bus traffic (the Symmetry's invalidation-based
-  // protocol).
+  // the same job's running workers, invalidations erode their footprints and
+  // add bus traffic (the Symmetry's invalidation-based protocol). The list
+  // may include `proc` itself — the engine passes the job's whole running
+  // list — and that entry is skipped. Siblings are invalidated in list
+  // order, which fixes the bits of the floating-point traffic sum.
   ChunkExecution ExecuteChunk(SimTime now, size_t proc, CacheOwner owner,
                               const WorkingSetParams& ws, SimDuration work,
                               const std::vector<SiblingPlacement>* siblings = nullptr);
 
  private:
+  // Invalidates `per_sibling` blocks of every sibling not on `proc` and
+  // returns the blocks ejected; one instantiation of InvalidateSiblings
+  // (machine.cc), chosen at construction from the cache type.
+  using SiblingSweep = double (*)(const std::vector<CacheModel*>& caches,
+                                  const std::vector<SiblingPlacement>& siblings, size_t proc,
+                                  double per_sibling);
+
   MachineConfig config_;
   Topology topology_;
   // Shared LLC + last-node directory; non-null only for hierarchical
   // topologies (flat machines build plain FootprintCaches, untouched).
   std::unique_ptr<TopologyCacheState> topo_state_;
   std::vector<Processor> processors_;
+  // Each processor's cache, indexed by processor: the sweep's table.
+  std::vector<CacheModel*> caches_;
+  SiblingSweep sweep_ = nullptr;
   SharedBus bus_;
 };
 

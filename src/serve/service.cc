@@ -3,6 +3,7 @@
 #include <chrono>
 #include <exception>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -75,8 +76,12 @@ bool SweepService::Submit(const SweepSpec& spec,
   // Rendered once: every cell key of this sweep hashes it, and every shard
   // task carries it.
   const std::string cell_spec = CellSpecText(spec);
+  // MixJobsDigest of each mix, by position in spec.mixes (filled, and
+  // checked, before the first cell is keyed).
+  std::vector<std::string> mix_jobs;
   const auto key_for = [&](const SweepCellRef& ref) {
-    return CellKey(cell_spec, ref.policy, ref.mix_number, ref.replication, ref.seed, git_rev_);
+    return CellKey(cell_spec, ref.policy, ref.mix_number, mix_jobs.at(ref.mix_index),
+                   ref.replication, ref.seed, git_rev_);
   };
 
   SweepRunnerOptions runner_options;
@@ -173,6 +178,24 @@ bool SweepService::Submit(const SweepSpec& spec,
   };
 
   try {
+    for (const WorkloadMix& mix : spec.mixes) {
+      mix_jobs.push_back(MixJobsDigest(MixJobs(spec, mix)));
+      if (spool_ != nullptr && !spec.policies.empty()) {
+        // A shard worker rebuilds the jobs from the task's spec text: the
+        // default profiles and Table 2's mix of that number.
+        SweepSpec rebuilt;
+        std::string task_error;
+        const SpoolTask task{
+            "", cell_spec, CellEntryMeta{PolicyKindCliName(spec.policies.front()), mix.number}};
+        if (!Spool::TaskSpec(task, &rebuilt, &task_error) ||
+            MixJobsDigest(MixJobs(rebuilt, rebuilt.mixes.front())) != mix_jobs.back()) {
+          throw std::invalid_argument(
+              "a sharded service runs only the default application profiles and the "
+              "Table 2 mixes (mix " +
+              std::to_string(mix.number) + ")");
+        }
+      }
+    }
     SweepRunner runner(runner_options);
     SweepResult result = runner.Run(spec);
     local.remote = remote_keys.size();

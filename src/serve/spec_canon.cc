@@ -48,20 +48,35 @@ std::string SweepKey(const SweepSpec& spec) {
   return HashHex(Fnv1a64(CanonicalSpecText(spec)));
 }
 
+std::string MixJobsDigest(const std::vector<AppProfile>& jobs) {
+  std::ostringstream o;
+  for (const AppProfile& job : jobs) {
+    const WorkingSetParams& ws = job.working_set;
+    o << job.name.size() << ":" << job.name << "," << JsonNumber(ws.blocks) << ","
+      << JsonNumber(ws.buildup_tau_s) << "," << JsonNumber(ws.steady_miss_per_s) << ","
+      << JsonNumber(ws.shared_write_per_s) << "," << JsonNumber(job.thread_overlap) << ","
+      << job.max_parallelism << "," << JsonNumber(job.expected_work_s) << ","
+      << JsonNumber(job.rt.period_s) << "," << JsonNumber(job.rt.deadline_s) << ","
+      << JsonNumber(job.rt.wcet_s) << "," << (job.rt.hard ? 1 : 0) << ";";
+  }
+  return HashHex(Fnv1a64(o.str()));
+}
+
 std::string CanonicalCellText(const std::string& cell_spec, PolicyKind policy, int mix_number,
-                              std::size_t replication, uint64_t seed,
-                              const std::string& git_rev) {
+                              const std::string& mix_jobs, std::size_t replication,
+                              uint64_t seed, const std::string& git_rev) {
   std::ostringstream o;
   o << "cell-v" << kCellEntrySchemaVersion << ";git=" << git_rev << ";" << cell_spec
-    << ";policy=" << PolicyKindCliName(policy) << ";mix=" << mix_number << ";rep=" << replication
-    << ";seed=" << SeedToDecimal(seed);
+    << ";policy=" << PolicyKindCliName(policy) << ";mix=" << mix_number << ";jobs=" << mix_jobs
+    << ";rep=" << replication << ";seed=" << SeedToDecimal(seed);
   return o.str();
 }
 
 std::string CellKey(const std::string& cell_spec, PolicyKind policy, int mix_number,
-                    std::size_t replication, uint64_t seed, const std::string& git_rev) {
+                    const std::string& mix_jobs, std::size_t replication, uint64_t seed,
+                    const std::string& git_rev) {
   const std::string text =
-      CanonicalCellText(cell_spec, policy, mix_number, replication, seed, git_rev);
+      CanonicalCellText(cell_spec, policy, mix_number, mix_jobs, replication, seed, git_rev);
   // Two independent digests: the standard FNV-1a basis and a second basis
   // derived by hashing the text length, giving 128 key bits in total.
   const uint64_t lo = Fnv1a64(text);

@@ -23,8 +23,11 @@
 //     shapes the result document, including policy order and the
 //     observability flag.
 //   * The cell key identifies one simulation: the spec-addressable machine
-//     and engine fields, the policy, the (mix, replication) coordinates, the
-//     derived seed — plus the cache entry schema version and the git
+//     and engine fields, the policy, the (mix, replication) coordinates, a
+//     digest of the jobs the mix runs (its composition over the spec's
+//     application profiles, so a library caller's own profiles or mixes
+//     never share entries with the defaults), the derived seed — plus the
+//     cache entry schema version and the git
 //     revision of the simulator build, because a cell result is a function
 //     of the binary that produced it. Grid-shape fields (which other
 //     policies ran, replication bounds, observability) are deliberately
@@ -36,6 +39,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/runner/sweep.h"
 
@@ -62,19 +66,27 @@ std::string CanonicalSpecText(const SweepSpec& spec);
 // 16-hex-digit digest of CanonicalSpecText.
 std::string SweepKey(const SweepSpec& spec);
 
+// 16-hex-digit digest of the jobs one cell runs (MixJobs: the mix expanded
+// over the spec's profiles, deadline stamps included): every profile field,
+// in job order. The graph generator is code, so the git revision covers it;
+// its parameters show through max_parallelism and expected_work_s.
+std::string MixJobsDigest(const std::vector<AppProfile>& jobs);
+
 // The canonical rendering of one cell's identity (see file comment for what
 // is and is not included). `cell_spec` is CellSpecText(spec), rendered once
-// per sweep; `git_rev` is the simulator build's revision
-// (RunManifest::GitSha() in the service; tests inject fixed values).
+// per sweep; `mix_jobs` is MixJobsDigest of the mix's jobs; `git_rev` is the
+// simulator build's revision (RunManifest::GitSha() in the service; tests
+// inject fixed values).
 std::string CanonicalCellText(const std::string& cell_spec, PolicyKind policy, int mix_number,
-                              std::size_t replication, uint64_t seed,
-                              const std::string& git_rev);
+                              const std::string& mix_jobs, std::size_t replication,
+                              uint64_t seed, const std::string& git_rev);
 
 // 32-hex-digit content address for one cell (two independent FNV-1a digests
 // of CanonicalCellText), used as the cache file name and the spool task
 // name. Collision probability is negligible at any plausible cache size.
 std::string CellKey(const std::string& cell_spec, PolicyKind policy, int mix_number,
-                    std::size_t replication, uint64_t seed, const std::string& git_rev);
+                    const std::string& mix_jobs, std::size_t replication, uint64_t seed,
+                    const std::string& git_rev);
 
 }  // namespace affsched
 

@@ -153,17 +153,25 @@ TEST(AccountingTest, RunningWorkerTransitionsFeedParallelismHistogram) {
   JobState& js = h.core.job_state(id);
   js.par_hist = std::make_unique<WeightedHistogram>(h.core.procs.size());
 
-  h.acct.SetRunningWorkers(id, +1);
+  // The engine's pattern: close the interval, then change the running list.
+  const auto set_running = [&](size_t proc, CacheOwner wid) {
+    h.acct.RecordParallelism(id);
+    h.core.SetRunning(proc, wid);
+  };
+  const CacheOwner a = h.core.CreateWorker(id);
+  const CacheOwner b = h.core.CreateWorker(id);
+  set_running(0, a);
   AdvanceTo(h, Milliseconds(1000));
-  h.acct.SetRunningWorkers(id, +1);
+  set_running(1, b);
   AdvanceTo(h, Milliseconds(1500));
-  h.acct.SetRunningWorkers(id, -2);
+  set_running(0, kNoOwner);
+  set_running(1, kNoOwner);
 
   // 1 worker for 1 s, 2 workers for 0.5 s.
   EXPECT_NEAR(js.par_hist->TotalWeight(), 1.5, 1e-9);
   EXPECT_NEAR(js.par_hist->Fraction(1), 1.0 / 1.5, 1e-9);
   EXPECT_NEAR(js.par_hist->Fraction(2), 0.5 / 1.5, 1e-9);
-  EXPECT_EQ(js.running_workers, 0u);
+  EXPECT_TRUE(js.running.empty());
 }
 
 TEST(AccountingTest, SetMetricsNullptrDetachesAllHandles) {

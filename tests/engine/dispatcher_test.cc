@@ -109,7 +109,9 @@ TEST(DispatcherTest, DispatchWorkerRunsReadyThreadAndRecordsPlacement) {
   EXPECT_EQ(w.state, Worker::State::kRunning);
   EXPECT_EQ(w.processor, 0u);
   EXPECT_EQ(w.last_processor(), 0u);
-  EXPECT_EQ(h.core.job_state(id).running_workers, 1u);
+  ASSERT_EQ(h.core.job_state(id).running.size(), 1u);
+  EXPECT_EQ(h.core.job_state(id).running[0].proc, 0u);
+  EXPECT_EQ(h.core.job_state(id).running[0].owner, w.id);
   EXPECT_EQ(h.core.job_state(id).job->stats().reallocations, 1u);
   // The chunk-completion event is in flight.
   EXPECT_FALSE(h.core.queue.empty());

@@ -144,6 +144,46 @@ TEST(SweepServiceTest, EquivalentSpecSpellingsShareCells) {
   EXPECT_EQ(first.json.substr(pos_a), second.json.substr(pos_b));
 }
 
+TEST(SweepServiceTest, OwnProfilesDoNotShareCellsWithTheDefaults) {
+  // On the smoke machine, TinySpec's mix 1 runs the small profiles at the
+  // same machine, policy, mix number and seeds as this default-profile spec,
+  // so a key that names the mix only by number would serve one from the
+  // other's entries.
+  SweepSpec defaults;
+  std::string error;
+  ASSERT_TRUE(ParseSweepSpec("smoke;policies=equi;mixes=1;reps=1;seed=7", &defaults, &error))
+      << error;
+  SweepSpec tiny_spec = TinySpec();
+  tiny_spec.machine = defaults.machine;
+  SubmitOutcome fresh;
+  {
+    SweepService service(TinyOptions(FreshDir("profiles-fresh")));
+    ASSERT_TRUE(service.Submit(defaults, {}, &fresh, &error)) << error;
+  }
+
+  SweepService service(TinyOptions(FreshDir("profiles-shared")));
+  SubmitOutcome tiny, second;
+  ASSERT_TRUE(service.Submit(tiny_spec, {}, &tiny, &error)) << error;
+  ASSERT_TRUE(service.Submit(defaults, {}, &second, &error)) << error;
+  EXPECT_EQ(second.hits, 0u);
+  EXPECT_EQ(second.executed, second.cells);
+  EXPECT_EQ(second.json, fresh.json);
+}
+
+TEST(SweepServiceTest, ShardedServiceRefusesJobsAWorkerCannotRebuild) {
+  // A shard worker rebuilds a cell from its spec text, i.e. with the default
+  // profiles, so a sharded service must not offer TinySpec's cells.
+  SweepServiceOptions options = TinyOptions(FreshDir("refuse-cache"));
+  options.spool_dir = FreshDir("refuse-spool");
+  SweepService service(options);
+  ASSERT_TRUE(service.ok()) << service.error();
+  SubmitOutcome outcome;
+  std::string error;
+  EXPECT_FALSE(service.Submit(TinySpec(), {}, &outcome, &error));
+  EXPECT_NE(error.find("sharded service"), std::string::npos) << error;
+  EXPECT_EQ(service.counters().errors.load(), 1u);
+}
+
 TEST(SweepServiceTest, StreamsPlannedCellsResultDone) {
   SweepService service(TinyOptions(FreshDir("events")));
   std::vector<std::string> lines;

@@ -4,6 +4,8 @@
 
 #include <string>
 
+#include "src/apps/apps.h"
+#include "src/measure/mixes.h"
 #include "src/runner/cell_seed.h"
 #include "src/runner/sweep.h"
 
@@ -50,7 +52,8 @@ TEST(SpecCanonTest, DifferentGridsGetDifferentKeys) {
 
 std::string Key(const SweepSpec& spec, PolicyKind policy, int mix, size_t rep, uint64_t seed,
                 const std::string& rev = "rev") {
-  return CellKey(CellSpecText(spec), policy, mix, rep, seed, rev);
+  const std::string jobs = MixJobsDigest(MixJobs(spec, PaperMixes()[mix - 1]));
+  return CellKey(CellSpecText(spec), policy, mix, jobs, rep, seed, rev);
 }
 
 TEST(SpecCanonTest, CellKeyIgnoresGridShape) {
@@ -86,6 +89,36 @@ TEST(SpecCanonTest, CellKeyCoversSimulationInputs) {
             Key(MustParse("smoke;rt=1;deadline-mix=hard"), equi, 1, 0, seed));
   // With rt off the deadline mix stamps nothing, so it is not identity.
   EXPECT_EQ(base, Key(MustParse("smoke;deadline-mix=hard"), equi, 1, 0, seed));
+}
+
+TEST(SpecCanonTest, CellKeyCoversTheMixJobs) {
+  // The mix number alone does not say what runs: a library caller may bring
+  // its own profiles or its own composition under the same number.
+  SweepSpec spec = MustParse("smoke");
+  const uint64_t seed = DeriveCellSeed(spec.root_seed, 1, 0);
+  const WorkloadMix mix = PaperMixes()[0];
+  const std::string cell_spec = CellSpecText(spec);
+  const auto key = [&](const SweepSpec& s, const WorkloadMix& m) {
+    return CellKey(cell_spec, PolicyKind::kEquipartition, 1, MixJobsDigest(MixJobs(s, m)), 0,
+                   seed, "rev");
+  };
+  const std::string base = key(spec, mix);
+  EXPECT_EQ(base, Key(spec, PolicyKind::kEquipartition, 1, 0, seed));
+
+  SweepSpec small = spec;
+  small.apps = {MakeSmallMvaProfile(), MakeSmallMatrixProfile(), MakeSmallGravityProfile()};
+  EXPECT_NE(base, key(small, mix));
+
+  WorkloadMix other = mix;
+  other.gravity += 1;
+  EXPECT_NE(base, key(spec, other));
+
+  // One profile field is enough.
+  SweepSpec tweaked = spec;
+  tweaked.apps[0].thread_overlap += 0.01;
+  tweaked.apps[1].thread_overlap += 0.01;
+  tweaked.apps[2].thread_overlap += 0.01;
+  EXPECT_NE(base, key(tweaked, mix));
 }
 
 TEST(SpecCanonTest, KeysAreWellFormedHex) {

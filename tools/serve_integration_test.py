@@ -203,6 +203,10 @@ def mode_shard(harness):
     if second["hits"] != second["cells"]:
         fail("sharded results not cached: %s" % second)
     harness.shutdown("daemon.sock")
+    # Ask the workers to stop now (the file Spool::RequestStop writes) rather
+    # than leave them to wait out --worker-idle-ms.
+    with open(os.path.join(harness.path("spool"), "stop"), "w"):
+        pass
     if read_bytes(harness.path("sharded.json")) != read_bytes(harness.path("sharded2.json")):
         fail("sharded document not stable across submissions")
     if harness.args.simctl:
